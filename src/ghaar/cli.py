@@ -276,13 +276,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, config=False, model=False, out=False):
-        p.add_argument("--config", required=config,
+        p.add_argument("-c", "--config", required=config,
                        help="key=value configuration file")
         p.add_argument("--seed", type=int, default=0)
         if model:
-            p.add_argument("--model", required=True, help="model file")
+            p.add_argument("-m", "--model", required=True, help="model file")
         if out is not None:
-            p.add_argument("--out", required=out, help="output directory")
+            p.add_argument("-o", "--out", required=out, help="output directory")
 
     p = sub.add_parser("gen-data", help="render a synthetic dataset")
     common(p, config=True, out=True)

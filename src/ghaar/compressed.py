@@ -3,9 +3,13 @@
 A constrained 3x3 kernel is stored as 5 bytes: a 1-byte reference into the
 model's pattern table plus a little-endian float32 factor.  At inference
 the kernel's response is the factor times a signed window sum, so each
-kernel application costs one multiplication; the window sums are shared
-between output channels that picked the same pattern.  1x1 layers and all
-biases are stored as raw little-endian float32.
+kernel application costs one multiplication.  The fast path computes the
+signed sum of each distinct (input channel, pattern) pair once and shares
+it between every output channel that uses that pair; one factor GEMM then
+applies the multiplies.  In numpy this path is still slower than the
+dense oracle on the same weights: one multiply per step is an arithmetic
+count, not a speed.  1x1 layers and all biases are stored as raw
+little-endian float32.
 
 File layout (all integers little-endian):
 
@@ -36,7 +40,12 @@ DENSE_KERNEL_BYTES = 36  # 4 * 3 * 3, the uncompressed float32 cost
 
 
 class OpCounter:
-    """Monotone tally of arithmetic per layer; reset only on request."""
+    """Monotone tally of arithmetic per layer; reset only on request.
+
+    The tallies are arithmetic counts computed from layer shapes (steps,
+    and the multiplies and additions each step costs on its route), not
+    operations measured while the arrays are computed.
+    """
 
     def __init__(self):
         self.layers = {}
@@ -301,15 +310,6 @@ def decode_model(data: bytes) -> CompressedModel:
     return CompressedModel(spec, space, params, digest)
 
 
-def pattern_index_lists(space):
-    """Per pattern: positions of +1 and -1 cells, the add/subtract recipe."""
-    plus, minus = [], []
-    for row in space.signs:
-        plus.append(np.flatnonzero(row > 0))
-        minus.append(np.flatnonzero(row < 0))
-    return plus, minus
-
-
 def haar_conv_step(pattern, patch, k, counter=None):
     """Response of one constrained kernel at one position.
 
@@ -334,30 +334,35 @@ def haar_conv_step(pattern, patch, k, counter=None):
 def _conv_fast(x, lp, space, layer, counter):
     """Constrained conv layer via shared signed window sums.
 
-    The signed sum for a given (pattern, input channel) is computed once and
-    reused by every output channel that references it; each kernel
-    application then costs the single multiply by its factor.
+    The layer uses Q distinct (input channel, pattern) pairs.  Each pair's
+    signed window sum is computed once, as one small GEMM per input channel
+    (that channel's used sign rows times its im2col columns).  The factors
+    are scattered into an (O, Q) matrix, so a second GEMM applies every
+    kernel's single multiply and sums over input channels.
     """
-    n, c, h, w = x.shape
-    k = layer.kernel_size
+    n, c = x.shape[:2]
+    o, k = layer.out_channels, layer.kernel_size
     cols, ho, wo = nn._im2col(x, k, (k - 1) // 2)
-    cols = cols.reshape(n, c, k * k, ho * wo)
-    out = np.zeros((n, layer.out_channels, ho * wo))
-    for u in np.unique(lp.filter_idx):
-        row = space.signs[u]
-        plus = np.flatnonzero(row > 0)
-        minus = np.flatnonzero(row < 0)
-        s_u = cols[:, :, plus, :].sum(axis=2)
-        if minus.size:
-            s_u = s_u - cols[:, :, minus, :].sum(axis=2)
-        f_u = np.where(lp.filter_idx == u, lp.factors, 0.0)
-        out += np.einsum("oc,ncp->nop", f_u, s_u)
-    out += lp.bias[None, :, None]
+    p = ho * wo
+    cols = cols.reshape(n, c, k * k, p).transpose(1, 2, 0, 3).reshape(c, k * k, n * p)
+    # pair key c*nr + pattern; np.unique sorts the pairs by channel
+    keys = np.arange(c) * len(space) + lp.filter_idx
+    pairs, pair_of = np.unique(keys, return_inverse=True)
+    bounds = np.searchsorted(pairs, np.arange(c + 1) * len(space))
+    patterns = pairs % len(space)
+    sums = np.empty((pairs.size, n * p))
+    for ch in range(c):
+        lo, hi = bounds[ch], bounds[ch + 1]
+        sums[lo:hi] = space.signs[patterns[lo:hi]] @ cols[ch]
+    scatter = np.zeros((o, pairs.size))
+    scatter[np.arange(o)[:, None], pair_of.reshape(o, c)] = lp.factors
+    out = (scatter @ sums).reshape(o, n, p).transpose(1, 0, 2)
+    out = out + lp.bias[None, :, None]
     if counter is not None:
-        steps = n * ho * wo * layer.out_channels * c
+        steps = n * p * o * c
         counter.record(layer.name, steps=steps, multiplies=steps,
                        additions=steps * (k * k - 1))
-    return out.reshape(n, layer.out_channels, ho, wo)
+    return out.reshape(n, o, ho, wo)
 
 
 def _count_dense(layer, n, positions, counter):
@@ -390,8 +395,12 @@ def layer_positions(spec):
 def forward_fast(model: CompressedModel, x, counter=None):
     """Network function of the compressed model via the one-multiply path.
 
-    Matches nn_core.forward on the reconstructed dense weights up to the
-    rounding difference between factored and elementwise accumulation.
+    Each constrained layer computes its (input channel, pattern) signed sums
+    once, then applies every factor in one GEMM (see _conv_fast); other
+    layers run densely.  Matches nn_core.forward on the reconstructed dense
+    weights up to the rounding difference between factored and elementwise
+    accumulation.  The counter receives shape-derived tallies: 1 multiply
+    per constrained step, k*k per dense step.
     """
     spec = model.spec
     x = np.asarray(x, dtype=np.float64)

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes and a desk-scale end-to-end chain."""
 
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -148,3 +150,26 @@ def test_exit_code_infeasible_scene(tmp_path):
                    .replace("x3d_max = 2.0", "x3d_max = 41.0"))
     assert cli.main(["gen-data", "--config", str(cfg), "--seed", "0",
                      "--out", str(tmp_path / "d")]) == 3
+
+
+def readme_quickstart_commands():
+    """The `ghaar ...` lines of the README block after "drive the pipeline"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Then drive the pipeline:", 1)[1].split("```")[1]
+    return [shlex.split(line) for line in block.splitlines()
+            if line.startswith("ghaar ")]
+
+
+def test_readme_quickstart_runs_as_written(tmp_path, monkeypatch):
+    (tmp_path / "scene.cfg").write_text(SMALL_CONFIG)
+    monkeypatch.chdir(tmp_path)
+    commands = readme_quickstart_commands()
+    assert [argv[1] for argv in commands] == [
+        "gen-data", "gen-data", "train", "inspect-model", "detect", "eval",
+        "bench"]
+    for argv in commands:
+        try:
+            code = cli.main(argv[1:])
+        except SystemExit as exc:  # argparse usage error
+            code = exc.code
+        assert code == 0, " ".join(argv)

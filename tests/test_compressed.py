@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ghaar.errors import ConfigError, FormatError
 from ghaar import compressed as cm
@@ -192,6 +193,64 @@ def test_one_multiply_per_constrained_step():
             assert f["multiplies"] == d["multiplies"]
     # exact step count for the first layer: 16*16 positions, 3 out, 2 in
     assert fast.layers["conv1"]["steps"] == 16 * 16 * 3 * 2
+
+
+def one_layer_model(c, o, side, assign, factors, seed):
+    """A single constrained 3x3 conv layer as a compressed model.
+
+    assign: "one" puts every kernel on one pattern, "distinct" gives every
+    (o, c) its own pattern, "random" draws patterns with repeats.
+    factors: "random", "zero" (all factors 0) or "some_zero".
+    """
+    rng = np.random.default_rng(seed)
+    layer = nn.LayerSpec("conv1", "conv", 3, c, o, constrained=True)
+    spec = nn.NetworkSpec(input_size=side, in_channels=c, classes=o,
+                          shared_trunk=(layer,), loc_head=(), cla_head=())
+    space = hs.reduced_space_from_indices(3, rng.permutation(256))
+    if assign == "one":
+        idx = np.full((o, c), int(rng.integers(256)))
+    elif assign == "distinct":
+        idx = rng.permutation(256)[:o * c].reshape(o, c)
+    else:
+        idx = rng.integers(0, 256, size=(o, c))
+    fac = rng.normal(size=(o, c))
+    if factors == "zero":
+        fac[:] = 0.0
+    elif factors == "some_zero":
+        fac[rng.random((o, c)) < 0.5] = 0.0
+    # compress rebuilds the dense kernels from idx and fac
+    params = nn.ModelParams(spec, {"conv1": nn.LayerParams(
+        np.zeros((o, c, 3, 3)), rng.normal(size=o), idx, fac)})
+    return cm.compress(params, space)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.integers(1, 12), o=st.integers(1, 12), side=st.integers(1, 7),
+       batch=st.sampled_from([None, 1, 3]),
+       assign=st.sampled_from(["one", "distinct", "random"]),
+       factors=st.sampled_from(["random", "zero", "some_zero"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(c=5, o=7, side=4, batch=2, assign="one", factors="random", seed=0)
+@example(c=12, o=12, side=4, batch=2, assign="distinct", factors="random", seed=1)
+@example(c=4, o=6, side=5, batch=2, assign="random", factors="zero", seed=2)
+@example(c=1, o=8, side=6, batch=2, assign="random", factors="random", seed=3)
+@example(c=6, o=5, side=5, batch=None, assign="random", factors="random", seed=4)
+@example(c=64, o=64, side=4, batch=2, assign="random", factors="some_zero", seed=5)
+def test_fast_conv_matches_dense_and_counts(c, o, side, batch, assign,
+                                            factors, seed):
+    model = one_layer_model(c, o, side, assign, factors, seed)
+    shape = (c, side, side) if batch is None else (batch, c, side, side)
+    x = np.random.default_rng(seed).normal(size=shape)
+    fast, dense = cm.OpCounter(), cm.OpCounter()
+    out_f, _ = cm.forward_fast(model, x, fast)
+    out_d, _ = cm.forward_dense(model, x, dense)
+    assert out_f.shape == out_d.shape == shape[:-3] + (o, side, side)
+    assert np.abs(out_f - out_d).max() <= 1e-12
+    steps = (batch or 1) * side * side * o * c
+    assert fast.layers == {"conv1": {
+        "steps": steps, "multiplies": steps, "additions": 8 * steps}}
+    assert dense.layers == {"conv1": {
+        "steps": steps, "multiplies": 9 * steps, "additions": 8 * steps}}
 
 
 def test_infer_returns_label_and_score():
