@@ -198,14 +198,11 @@ def cmd_detect(args):
     return 0
 
 
-def _dense_multiplies(spec, n_windows):
-    positions = cm.layer_positions(spec)
-    total = 0
-    for layer, _ in spec.conv_layers():
-        steps = n_windows * positions[layer.name] * layer.out_channels \
-            * layer.in_channels
-        total += steps * layer.kernel_size ** 2
-    return total
+def _dense_multiplies(spec, counter):
+    """Multiplies the dense route needs for the steps counted on the fast one."""
+    k = {layer.name: layer.kernel_size for layer, _ in spec.conv_layers()}
+    return sum(slot["steps"] * k[name] ** 2
+               for name, slot in counter.layers.items())
 
 
 def cmd_bench(args):
@@ -232,7 +229,7 @@ def cmd_bench(args):
                       for win in batch])
         cm.forward_fast(model, x, counter=counter)
     elapsed = time.perf_counter() - start
-    dense = _dense_multiplies(model.spec, len(wins_f))
+    dense = _dense_multiplies(model.spec, counter)
     print(f"sliding_windows {len(wins_s)}")
     print(f"filtered_windows {len(wins_f)}")
     print(f"reduction {len(wins_f) / len(wins_s):.4f}")

@@ -168,12 +168,23 @@ def expected_size(spec: nn.NetworkSpec, nr: int) -> int:
     return total
 
 
+def _stored(values, layer, what):
+    """values rounded to the float32 the file carries; must stay finite."""
+    with np.errstate(over="ignore"):
+        out = values.astype(np.float32).astype(np.float64)
+    if not np.isfinite(out).all():
+        raise ConfigError(f"layer {layer.name}: non-finite {what} "
+                          "cannot be stored as float32")
+    return out
+
+
 def compress(params: nn.ModelParams, space) -> CompressedModel:
     """Quantize trained parameters to their stored precision.
 
     Factors, biases and 1x1 kernels are rounded to float32; constrained
     kernels are rebuilt from the rounded factor so the dense oracle and the
-    fast path see the same numbers the file will carry.
+    fast path see the same numbers the file will carry.  A value that is
+    not finite after rounding raises ConfigError.
     """
     if len(space) > 256:
         raise ConfigError(f"pattern table holds at most 256 entries, got {len(space)}")
@@ -189,12 +200,12 @@ def compress(params: nn.ModelParams, space) -> CompressedModel:
                 raise ConfigError(f"layer {layer.name} references patterns "
                                   "outside the table")
             o, c, k, _ = lp.kernels.shape
-            lp.factors = lp.factors.astype(np.float32).astype(np.float64)
+            lp.factors = _stored(lp.factors, layer, "factors")
             sel = space.signs[lp.filter_idx.reshape(-1)]
             lp.kernels = (lp.factors.reshape(-1, 1) * sel).reshape(o, c, k, k)
         else:
-            lp.kernels = lp.kernels.astype(np.float32).astype(np.float64)
-        lp.bias = lp.bias.astype(np.float32).astype(np.float64)
+            lp.kernels = _stored(lp.kernels, layer, "kernels")
+        lp.bias = _stored(lp.bias, layer, "bias")
     return CompressedModel(params.spec, space, out, spec_digest(params.spec))
 
 
@@ -241,6 +252,22 @@ class _Cursor:
     def unpack(self, fmt, what):
         size = struct.calcsize(fmt)
         return struct.unpack(fmt, self.take(size, what))
+
+    def floats(self, n, what):
+        """n float32 values as float64; each must be finite."""
+        start = self.pos
+        values = np.frombuffer(self.take(4 * n, what), dtype="<f4")
+        return _finite(values.astype(np.float64), start, 4, what)
+
+
+def _finite(values, offset, stride, what):
+    """values, or FormatError at the first non-finite one (values[i] is
+    stored at offset + i * stride)."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise FormatError(f"non-finite value in {what}",
+                          offset=offset + int(np.argmin(finite)) * stride)
+    return values
 
 
 def decode_model(data: bytes) -> CompressedModel:
@@ -291,19 +318,18 @@ def decode_model(data: bytes) -> CompressedModel:
                 raise FormatError(
                     f"layer {layer.name} pattern reference out of range",
                     offset=rec_off + bad * RECORD_SIZE)
-            facs = recs["fac"].astype(np.float64)
+            facs = _finite(recs["fac"].astype(np.float64), rec_off + 1,
+                           RECORD_SIZE, f"{layer.name} factors")
             lp = nn.LayerParams(
                 kernels=(facs[:, None] * space.signs[refs]).reshape(o, c, k, k),
                 bias=None, filter_idx=refs.reshape(o, c),
                 factors=facs.reshape(o, c))
         else:
-            raw = cur.take(4 * o * c * k * k, f"{layer.name} kernels")
             lp = nn.LayerParams(
-                kernels=np.frombuffer(raw, dtype="<f4").astype(np.float64)
+                kernels=cur.floats(o * c * k * k, f"{layer.name} kernels")
                 .reshape(o, c, k, k),
                 bias=None)
-        lp.bias = np.frombuffer(
-            cur.take(4 * o, f"{layer.name} bias"), dtype="<f4").astype(np.float64)
+        lp.bias = cur.floats(o, f"{layer.name} bias")
         params.layers[layer.name] = lp
     if cur.pos != len(data):
         raise FormatError("trailing bytes after model payload", offset=cur.pos)
@@ -331,7 +357,7 @@ def haar_conv_step(pattern, patch, k, counter=None):
     return float(k * s)
 
 
-def _conv_fast(x, lp, space, layer, counter):
+def _conv_fast(x, lp, space, layer):
     """Constrained conv layer via shared signed window sums.
 
     The layer uses Q distinct (input channel, pattern) pairs.  Each pair's
@@ -358,38 +384,42 @@ def _conv_fast(x, lp, space, layer, counter):
     scatter[np.arange(o)[:, None], pair_of.reshape(o, c)] = lp.factors
     out = (scatter @ sums).reshape(o, n, p).transpose(1, 0, 2)
     out = out + lp.bias[None, :, None]
-    if counter is not None:
-        steps = n * p * o * c
-        counter.record(layer.name, steps=steps, multiplies=steps,
-                       additions=steps * (k * k - 1))
     return out.reshape(n, o, ho, wo)
-
-
-def _count_dense(layer, n, positions, counter):
-    k = layer.kernel_size
-    steps = n * positions * layer.out_channels * layer.in_channels
-    counter.record(layer.name, steps=steps, multiplies=steps * k * k,
-                   additions=steps * (k * k - 1))
 
 
 def layer_positions(spec):
     """Output positions (h*w) of every conv layer, from the input size."""
     out = {}
 
-    def walk(seq, size):
-        for layer in seq:
-            if layer.kind == "conv":
-                out[layer.name] = size * size
-            elif layer.kind == "maxpool":
-                size //= 2
-            elif layer.kind == "gap":
-                size = 1
-        return size
+    def conv(layer, x):
+        out[layer.name] = x.shape[2] * x.shape[3]
+        return np.zeros((1, layer.out_channels) + x.shape[2:]), None
 
-    trunk_size = walk(spec.shared_trunk, spec.input_size)
-    walk(spec.loc_head, trunk_size)
-    walk(spec.cla_head, trunk_size)
+    size = (spec.in_channels, spec.input_size, spec.input_size)
+    nn.run_network(spec, np.zeros(size), conv)
     return out
+
+
+def _run(model, x, counter, fast):
+    """run_network with _conv_fast on constrained layers when fast is set
+    and the dense conv otherwise; tallies each conv into the counter from
+    its output shape."""
+    def conv(layer, x):
+        lp = model.params.layers[layer.name]
+        k2 = layer.kernel_size ** 2
+        if fast and layer.constrained:
+            out, aux = _conv_fast(x, lp, model.space, layer), None
+            per_step = 1
+        else:
+            out, aux = nn._conv_forward(x, lp.kernels, lp.bias)
+            per_step = k2
+        if counter is not None:
+            steps = out.size * layer.in_channels
+            counter.record(layer.name, steps=steps, multiplies=steps * per_step,
+                           additions=steps * (k2 - 1))
+        return out, aux
+
+    return nn.run_network(model.spec, x, conv)
 
 
 def forward_fast(model: CompressedModel, x, counter=None):
@@ -402,54 +432,13 @@ def forward_fast(model: CompressedModel, x, counter=None):
     accumulation.  The counter receives shape-derived tallies: 1 multiply
     per constrained step, k*k per dense step.
     """
-    spec = model.spec
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = x[None]
-    if x.shape[1:] != (spec.in_channels, spec.input_size, spec.input_size):
-        raise DimensionError(
-            f"input shape {x.shape[1:]} does not match model "
-            f"({spec.in_channels}, {spec.input_size}, {spec.input_size})")
-    n = x.shape[0]
-    positions = layer_positions(spec)
-
-    def run(seq, x):
-        for layer in seq:
-            if layer.kind == "conv":
-                lp = model.params.layers[layer.name]
-                if layer.constrained:
-                    x = _conv_fast(x, lp, model.space, layer, counter)
-                else:
-                    x = nn.conv2d_dense(x, lp.kernels, lp.bias)
-                    if counter is not None:
-                        _count_dense(layer, n, positions[layer.name], counter)
-                if layer.relu:
-                    x = np.maximum(x, 0.0)
-            elif layer.kind == "maxpool":
-                x = nn.maxpool2x2(x)
-            elif layer.kind == "gap":
-                x = x.mean(axis=(2, 3))
-            elif layer.kind == "softmax":
-                x = nn.softmax(x)
-        return x
-
-    trunk = run(spec.shared_trunk, x)
-    loc = run(spec.loc_head, trunk)
-    probs = run(spec.cla_head, trunk)
-    return (loc[0], probs[0]) if squeeze else (loc, probs)
+    return _run(model, x, counter, fast=True)
 
 
 def forward_dense(model: CompressedModel, x, counter=None):
     """Dense-route oracle on the same reconstructed weights, with dense
     operation accounting."""
-    loc, probs, _ = nn.forward(model.params, x, want_cache=False)
-    if counter is not None:
-        n = 1 if np.asarray(x).ndim == 3 else np.asarray(x).shape[0]
-        positions = layer_positions(model.spec)
-        for layer, _branch in model.spec.conv_layers():
-            _count_dense(layer, n, positions[layer.name], counter)
-    return loc, probs
+    return _run(model, x, counter, fast=False)
 
 
 def infer(model: CompressedModel, window, counter=None):

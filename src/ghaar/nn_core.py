@@ -184,25 +184,22 @@ def conv2d_dense(x, kernels, bias=None):
         raise DimensionError(f"kernel spatial size must be odd and square, got {k}x{k2}")
     if x.shape[1] != c:
         raise DimensionError(f"input has {x.shape[1]} channels, kernels expect {c}")
-    pad = (k - 1) // 2
-    cols, ho, wo = _im2col(x, k, pad)
+    if bias is not None:
+        bias = np.asarray(bias, dtype=np.float64)
+    out, _ = _conv_forward(x, kernels, bias)
+    return out[0] if squeeze else out
+
+
+def _conv_forward(x, kernels, bias):
+    """(N, C, H, W) conv via im2col; returns (output, im2col columns)."""
+    o, c, k, _ = kernels.shape
+    cols, ho, wo = _im2col(x, k, (k - 1) // 2)
     n = x.shape[0]
     flat = kernels.reshape(o, c * k * k)
     out = flat @ cols.transpose(1, 0, 2).reshape(c * k * k, n * ho * wo)
     out = out.reshape(o, n, ho * wo).transpose(1, 0, 2)
     if bias is not None:
-        out = out + np.asarray(bias, dtype=np.float64)[None, :, None]
-    out = out.reshape(n, o, ho, wo)
-    return out[0] if squeeze else out
-
-
-def _conv_forward(x, lp: LayerParams):
-    cols, ho, wo = _im2col(x, lp.kernels.shape[2], (lp.kernels.shape[2] - 1) // 2)
-    n = x.shape[0]
-    o, c, k, _ = lp.kernels.shape
-    flat = lp.kernels.reshape(o, c * k * k)
-    out = flat @ cols.transpose(1, 0, 2).reshape(c * k * k, n * ho * wo)
-    out = out.reshape(o, n, ho * wo).transpose(1, 0, 2) + lp.bias[None, :, None]
+        out = out + bias[None, :, None]
     return out.reshape(n, o, ho, wo), cols
 
 
@@ -221,15 +218,15 @@ def _conv_backward(dout, cols, x_shape, lp: LayerParams):
 def maxpool2x2(x):
     """Non-overlapping 2x2 max pooling; spatial dims must be even."""
     x, squeeze = _as_batch(x)
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise DimensionError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
-    blocks = x.reshape(n, c, h // 2, 2, w // 2, 2)
-    out = blocks.max(axis=(3, 5))
+    out, _ = _maxpool_forward(x)
     return out[0] if squeeze else out
 
 
 def _maxpool_forward(x):
+    """(pooled, argmax within each 2x2 block); ties go to the first cell."""
     n, c, h, w = x.shape
     blocks = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
     flat = blocks.reshape(n, c, h // 2, w // 2, 4)
@@ -258,61 +255,67 @@ def softmax(logits):
     return p[0] if single else p
 
 
-def forward(params: ModelParams, x, want_cache=True):
-    """Run the two-headed network.
+def walk(spec: NetworkSpec, x, step):
+    """Apply step(layer, x) -> x over the trunk, then over each head from
+    the trunk's output.  Returns (loc, cla)."""
+    def run(seq, x):
+        for layer in seq:
+            x = step(layer, x)
+        return x
 
-    Returns (loc, probs, cache): loc is (N, 4), probs is (N, classes).  The
-    cache holds every intermediate needed by backward(); pass
-    want_cache=False for inference-only calls.
+    trunk = run(spec.shared_trunk, x)
+    return run(spec.loc_head, trunk), run(spec.cla_head, trunk)
+
+
+def run_network(spec: NetworkSpec, x, conv, record=None):
+    """Run the two-headed network with a given conv implementation.
+
+    conv(layer, x) returns (pre-activation, aux) for a conv layer; ReLU,
+    pooling, averaging and softmax are applied here.  record, when given,
+    receives one (layer, input shape, pre-activation, aux) step per layer:
+    pre-activation is None except on conv layers, aux is the conv's aux,
+    the pooling argmax or the softmax output.  Returns (loc, probs).
     """
-    spec = params.spec
     x, squeeze = _as_batch(x)
     if x.shape[1:] != (spec.in_channels, spec.input_size, spec.input_size):
         raise DimensionError(
             f"input shape {x.shape[1:]} does not match spec "
             f"({spec.in_channels}, {spec.input_size}, {spec.input_size})")
-    cache = {"n": x.shape[0], "steps": []} if want_cache else None
 
-    def run(seq, x):
-        for layer in seq:
-            if layer.kind == "conv":
-                lp = params.layers[layer.name]
-                x_shape = x.shape
-                out, cols = _conv_forward(x, lp)
-                pre_relu = out
-                if layer.relu:
-                    out = np.maximum(out, 0.0)
-                if cache is not None:
-                    cache["steps"].append(("conv", layer, x_shape, cols,
-                                           pre_relu if layer.relu else None))
-                x = out
-            elif layer.kind == "maxpool":
-                x_shape = x.shape
-                x, arg = _maxpool_forward(x)
-                if cache is not None:
-                    cache["steps"].append(("maxpool", layer, x_shape, arg, None))
-            elif layer.kind == "gap":
-                if cache is not None:
-                    cache["steps"].append(("gap", layer, x.shape, None, None))
-                x = x.mean(axis=(2, 3))
-            elif layer.kind == "softmax":
-                if cache is not None:
-                    cache["steps"].append(("softmax", layer, None, None, None))
-                x = softmax(x)
-        return x
+    def step(layer, x):
+        pre = aux = None
+        if layer.kind == "conv":
+            pre, aux = conv(layer, x)
+            out = np.maximum(pre, 0.0) if layer.relu else pre
+        elif layer.kind == "maxpool":
+            out, aux = _maxpool_forward(x)
+        elif layer.kind == "gap":
+            out = x.mean(axis=(2, 3))
+        else:
+            out = aux = softmax(x)
+        if record is not None:
+            record((layer, x.shape, pre, aux))
+        return out
 
-    trunk_out = run(spec.shared_trunk, x)
-    if cache is not None:
-        cache["trunk_end"] = len(cache["steps"])
-    loc = run(spec.loc_head, trunk_out)
-    if cache is not None:
-        cache["loc_end"] = len(cache["steps"])
-    probs = run(spec.cla_head, trunk_out)
-    if squeeze:
-        loc, probs = loc[0], probs[0]
-    if cache is not None:
-        cache["probs"] = probs if not squeeze else probs[None]
-    return loc, probs, cache
+    loc, probs = walk(spec, x, step)
+    return (loc[0], probs[0]) if squeeze else (loc, probs)
+
+
+def forward(params: ModelParams, x, want_cache=True):
+    """Run the two-headed network on the dense weights.
+
+    Returns (loc, probs, cache): loc is (N, 4), probs is (N, classes).  The
+    cache holds every intermediate needed by backward(); pass
+    want_cache=False for inference-only calls.
+    """
+    def conv(layer, x):
+        lp = params.layers[layer.name]
+        return _conv_forward(x, lp.kernels, lp.bias)
+
+    steps = [] if want_cache else None
+    loc, probs = run_network(params.spec, x, conv,
+                             None if steps is None else steps.append)
+    return loc, probs, None if steps is None else {"steps": steps}
 
 
 def backward(params: ModelParams, cache, grad_loc, grad_cla):
@@ -324,32 +327,34 @@ def backward(params: ModelParams, cache, grad_loc, grad_cla):
     if cache is None or "steps" not in cache:
         raise ConfigError("backward needs the cache from a matching forward call")
     steps = cache["steps"]
+    spec = params.spec
+    trunk_end = len(spec.shared_trunk)
+    loc_end = trunk_end + len(spec.loc_head)
     grads = {}
 
     def run_back(lo, hi, dx):
-        for kind, layer, shape_or_none, aux, pre_relu in reversed(steps[lo:hi]):
-            if kind == "softmax":
-                p = cache["probs"]
-                dot = (dx * p).sum(axis=1, keepdims=True)
-                dx = p * (dx - dot)
-            elif kind == "gap":
-                n, c, h, w = shape_or_none
+        for layer, x_shape, pre, aux in reversed(steps[lo:hi]):
+            if layer.kind == "softmax":
+                dot = (dx * aux).sum(axis=1, keepdims=True)
+                dx = aux * (dx - dot)
+            elif layer.kind == "gap":
+                n, c, h, w = x_shape
                 dx = np.broadcast_to(dx[:, :, None, None] / (h * w), (n, c, h, w))
-            elif kind == "maxpool":
-                dx = _maxpool_backward(dx, aux, shape_or_none)
-            elif kind == "conv":
-                if pre_relu is not None:
-                    dx = dx * (pre_relu > 0)
+            elif layer.kind == "maxpool":
+                dx = _maxpool_backward(dx, aux, x_shape)
+            else:
+                if layer.relu:
+                    dx = dx * (pre > 0)
                 lp = params.layers[layer.name]
-                dx, dw, db = _conv_backward(dx, aux, shape_or_none, lp)
+                dx, dw, db = _conv_backward(dx, aux, x_shape, lp)
                 grads[layer.name] = (dw, db)
         return dx
 
     grad_loc = np.atleast_2d(np.asarray(grad_loc, dtype=np.float64))
     grad_cla = np.atleast_2d(np.asarray(grad_cla, dtype=np.float64))
-    d_trunk = run_back(cache["trunk_end"], cache["loc_end"], grad_loc)
-    d_trunk = d_trunk + run_back(cache["loc_end"], len(steps), grad_cla)
-    run_back(0, cache["trunk_end"], d_trunk)
+    d_trunk = run_back(trunk_end, loc_end, grad_loc)
+    d_trunk = d_trunk + run_back(loc_end, len(steps), grad_cla)
+    run_back(0, trunk_end, d_trunk)
     return grads
 
 

@@ -186,8 +186,8 @@ def train_step(params, x, loc_target, labels, space, cfg: TrainConfig, lr: float
     """One constrained SGD step over a batch.
 
     Returns a dict with the batch losses.  Raises TrainingError when the
-    loss or a gradient goes non-finite, leaving params untouched in that
-    case only if the caller restored them (see fit).
+    loss or a gradient goes non-finite; both checks run before any weight
+    is updated.
     """
     if cfg.constrain:
         reconstruct_params(params, space)
@@ -295,15 +295,8 @@ def _run_phase(params, space, data, cfg, rng, epochs, epoch_offset, rows, val,
                 "err_cla": 0.0}
         nb = 0
         for idx in _epoch_batches(x.shape[0], cfg.batch_size, rng):
-            xb = _as_batch(x, idx)
-            backup = params.copy()
-            try:
-                info = train_step(params, xb, loc_t[idx], labels[idx],
-                                  space, cfg, lr)
-            except TrainingError:
-                params.layers = backup.layers
-                info = train_step(params, xb, loc_t[idx], labels[idx],
-                                  space, cfg, lr / 2)
+            info = train_step(params, _as_batch(x, idx), loc_t[idx],
+                              labels[idx], space, cfg, lr)
             for k in sums:
                 sums[k] += info[k]
             nb += 1

@@ -1,10 +1,12 @@
 """Codec round trips, fast-path fidelity, and operation accounting."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ghaar.errors import ConfigError, FormatError
+from ghaar.errors import ConfigError, DimensionError, FormatError
 from ghaar import compressed as cm
 from ghaar import haar_space as hs
 from ghaar import nn_core as nn
@@ -149,6 +151,40 @@ def test_decode_rejects_bad_pattern_ref():
     assert err.value.offset == rec_off
 
 
+# one stored float32 of each kind: a constrained factor, a bias, a 1x1 kernel
+STORED_VALUES = {
+    "factor": lambda p: (p.layers["conv2"].factors, (1, 2)),
+    "bias": lambda p: (p.layers["loc_fc1"].bias, (1,)),
+    "kernel": lambda p: (p.layers["cla_out"].kernels, (1, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("where", sorted(STORED_VALUES))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_decode_rejects_non_finite_values(where, value):
+    params, space = trained_like_params(seed=8)
+    array, at = STORED_VALUES[where](params)
+    array[at] = 1234.5  # marker, so the test finds its bytes
+    data = bytearray(cm.encode_model(cm.compress(params, space)))
+    marker = struct.pack("<f", 1234.5)
+    assert data.count(marker) == 1
+    off = data.find(marker)
+    data[off:off + 4] = struct.pack("<f", value)
+    with pytest.raises(FormatError) as err:
+        cm.decode_model(bytes(data))
+    assert err.value.offset == off
+
+
+@pytest.mark.parametrize("where", sorted(STORED_VALUES))
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])  # 1e39 > float32 max
+def test_compress_rejects_non_finite_values(where, value):
+    params, space = trained_like_params(seed=8)
+    array, at = STORED_VALUES[where](params)
+    array[at] = value
+    with pytest.raises(ConfigError):
+        cm.compress(params, space)
+
+
 def test_compress_requires_assignments():
     spec = nn.build_network_spec(
         in_channels=1, classes=2, window=16,
@@ -172,6 +208,26 @@ def test_fast_path_matches_dense_outputs():
     l1, p1 = cm.forward_fast(model, x[0])
     l2, p2 = cm.forward_fast(model, x[0])
     assert np.array_equal(l1, l2) and np.array_equal(p1, p2)
+
+
+def test_routes_agree_bitwise_without_constrained_layers():
+    # with no constrained layer every route runs the same dense layers
+    spec = nn.build_network_spec(
+        in_channels=2, classes=3, window=16, trunk_widths=(3, 4, 4, 4),
+        head_widths=(4, 4), bottleneck=3, constrained=False)
+    model = cm.compress(nn.init_params(spec, seed=9), hs.enumerate_space(3))
+    x = np.random.default_rng(9).normal(size=(5, 2, 16, 16))
+    for xs in (x, x[2]):
+        loc, probs, _ = nn.forward(model.params, xs, want_cache=False)
+        for route in (cm.forward_fast, cm.forward_dense):
+            loc_r, probs_r = route(model, xs)
+            assert loc_r.shape == loc.shape and probs_r.shape == probs.shape
+            assert np.array_equal(loc_r, loc) and np.array_equal(probs_r, probs)
+    for bad in (x[:, :1], x[:, :, :8, :8], x[0, 0], x[None]):
+        for route in (cm.forward_fast, cm.forward_dense,
+                      lambda m, xs: nn.forward(m.params, xs, want_cache=False)):
+            with pytest.raises(DimensionError):
+                route(model, bad)
 
 
 def test_one_multiply_per_constrained_step():

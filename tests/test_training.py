@@ -201,6 +201,30 @@ def test_non_finite_raises_training_error():
         tr.train_step(params, x, loc_t, labels, space, cfg, lr=0.01)
 
 
+def test_diverging_fit_raises_on_first_failing_step(monkeypatch):
+    # a retry reruns the same forward on the same params and batch, so the
+    # first TrainingError is final
+    outcomes = []
+    step = tr.train_step
+
+    def counted(*args):
+        try:
+            info = step(*args)
+        except TrainingError:
+            outcomes.append("raised")
+            raise
+        outcomes.append("ok")
+        return info
+
+    monkeypatch.setattr(tr, "train_step", counted)
+    x, loc_t, labels = toy_data(24, seed=4)
+    with pytest.raises(TrainingError), np.errstate(over="ignore",
+                                                   invalid="ignore"):
+        tr.fit(x, loc_t, labels, small_cfg(lr=1e6, epochs=4))
+    assert outcomes.count("raised") == 1
+    assert outcomes[-1] == "raised"
+
+
 def test_usage_census_counts_slices():
     cfg = small_cfg()
     spec = cfg.network_spec()
