@@ -17,7 +17,6 @@ from .errors import (
 )
 from .haar_space import (
     FilterSpace,
-    ReducedSpace,
     SignPattern,
     enumerate_space,
     nearest_filter,

@@ -1,7 +1,7 @@
 """Command-line surface: gen-data, train, eval, detect, bench, inspect-model.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 model format
-error.
+Exit codes: 0 success, 2 configuration or training error (a fit that
+diverged), 3 data error, 4 model format error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import ppm
 from . import synth as sy
 from . import training as tr
 from . import windows as wd
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError, TrainingError
 
 LABEL_COLORS = {1: (255, 40, 40), 2: (40, 90, 255)}
 
@@ -221,6 +221,9 @@ def cmd_bench(args):
         wins_f = wd.perspective_filter(wins_s, cam, ranges)
     else:
         wins_f = wins_s
+    if not wins_f:
+        raise DataError(f"no {ws}px window survives pruning on a {w}x{h} "
+                        f"frame: nothing to time")
     counter = cm.OpCounter()
     start = time.perf_counter()
     for lo in range(0, len(wins_f), 256):
@@ -322,6 +325,9 @@ def main(argv=None):
         return 4
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except TrainingError as e:
+        print(f"training error: {e}", file=sys.stderr)
         return 2
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)

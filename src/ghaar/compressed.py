@@ -86,7 +86,7 @@ class CompressedModel:
     additionally carry their (pattern row, factor) assignment.
     """
     spec: nn.NetworkSpec
-    space: hs.ReducedSpace
+    space: hs.FilterSpace
     params: nn.ModelParams
     digest: bytes
 

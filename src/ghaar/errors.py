@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError -> 3, FormatError -> 4.
+The CLI maps these onto process exit codes: ConfigError and
+TrainingError -> 2, DataError -> 3, FormatError -> 4.
 """
 
 

@@ -25,7 +25,11 @@ MAX_SIDE = 4  # 2**(4*4-1) = 32768 patterns; beyond that enumeration is pointles
 
 
 def space_size(m: int) -> int:
-    """Number of canonical sign patterns of side m."""
+    """Number of canonical sign patterns of side m; raises on an unsupported side."""
+    if not MIN_SIDE <= m <= MAX_SIDE:
+        raise ConfigError(
+            f"filter space side must be in [{MIN_SIDE}, {MAX_SIDE}], got {m}: "
+            f"2**({m}*{m}-1) patterns would exceed the supported size limit")
     return 1 << (m * m - 1)
 
 
@@ -69,102 +73,67 @@ def index_from_cells(cells) -> int:
 
 def cells_from_index(m: int, index: int) -> np.ndarray:
     """Decode a canonical index into an (m, m) int8 sign grid."""
-    n_bits = m * m - 1
-    if not 0 <= index < (1 << n_bits):
-        raise ConfigError(f"canonical index {index} out of range for m={m}")
-    bits = (index >> np.arange(n_bits)) & 1
-    flat = np.empty(m * m, dtype=np.int8)
-    flat[0] = 1
-    flat[1:] = bits * 2 - 1
-    return flat.reshape(m, m)
+    return reduced_space_from_indices(m, [index])[0].cells.copy()
 
 
+@dataclass(frozen=True, eq=False)
 class FilterSpace:
-    """The full set of 2**(m^2 - 1) canonical sign patterns, ordered by index.
+    """A table of canonical sign patterns: the full space or any subset.
 
-    `signs` is the (size, m*m) float matrix of flattened patterns used by the
-    vectorized projection routines; `indices` maps row -> canonical index
-    (the identity for the full space).
+    Row r holds the pattern with canonical index `indices[r]`; `signs` is the
+    (len, m*m) float matrix of flattened patterns that the vectorized
+    projection routines read.  Build it with enumerate_space,
+    reduced_space_from_indices or select_top_filters.
     """
 
-    def __init__(self, m: int):
-        if not MIN_SIDE <= m <= MAX_SIDE:
-            raise ConfigError(
-                f"filter space side must be in [{MIN_SIDE}, {MAX_SIDE}], got {m}: "
-                f"2**({m}*{m}-1) patterns would exceed the supported size limit")
-        self.m = m
-        n = space_size(m)
-        idx = np.arange(n, dtype=np.int64)
-        bits = (idx[:, None] >> np.arange(m * m - 1)[None, :]) & 1
-        signs = np.empty((n, m * m), dtype=np.float64)
-        signs[:, 0] = 1.0
-        signs[:, 1:] = bits * 2.0 - 1.0
-        signs.setflags(write=False)
-        self.signs = signs
-        idx.setflags(write=False)
-        self.indices = idx
-
-    def __len__(self):
-        return self.signs.shape[0]
-
-    def __getitem__(self, i: int) -> SignPattern:
-        i = int(i)
-        cells = self.signs[i].reshape(self.m, self.m).astype(np.int8)
-        return SignPattern(self.m, cells, int(self.indices[i]))
+    m: int
+    indices: np.ndarray = field(repr=False)  # (N,) int64, row -> canonical index
+    signs: np.ndarray = field(repr=False)    # (N, m*m) float64, +-1 rows
 
     @property
-    def patterns(self):
-        return [self[i] for i in range(len(self))]
-
-    def row_of(self, canonical_index: int) -> int:
-        return int(canonical_index)
-
-
-@dataclass(frozen=True)
-class ReducedSpace:
-    """The Nr most-used patterns of a base space, in descending usage order."""
-
-    m: int
-    selected: np.ndarray      # (Nr,) canonical indices, usage-descending
-    usage_counts: np.ndarray  # counts over the full base space, or per-row
-    signs: np.ndarray = field(repr=False)  # (Nr,) x (m*m) float rows
-    indices: np.ndarray = field(repr=False)  # alias of selected, row -> index
+    def selected(self) -> np.ndarray:
+        return self.indices
 
     @property
     def nr(self) -> int:
-        return int(self.selected.size)
+        return int(self.indices.size)
 
     def __len__(self):
         return self.nr
 
     def __getitem__(self, row: int) -> SignPattern:
         cells = self.signs[row].reshape(self.m, self.m).astype(np.int8)
-        return SignPattern(self.m, cells, int(self.selected[row]))
+        return SignPattern(self.m, cells, int(self.indices[row]))
+
+    @property
+    def patterns(self):
+        return [self[i] for i in range(len(self))]
 
     def row_of(self, canonical_index: int) -> int:
-        """Table row holding a canonical index; raises if not selected."""
-        hits = np.nonzero(self.selected == canonical_index)[0]
+        """Table row holding a canonical index; raises if not in the table."""
+        hits = np.nonzero(self.indices == canonical_index)[0]
         if hits.size == 0:
-            raise ConfigError(f"filter {canonical_index} is not in the reduced space")
+            raise ConfigError(f"filter {canonical_index} is not in the space")
         return int(hits[0])
 
 
-def reduced_space_from_indices(m: int, selected, usage_counts=None) -> ReducedSpace:
-    """Build a ReducedSpace straight from canonical indices (decode path)."""
-    selected = np.asarray(selected, dtype=np.int64).copy()
-    if selected.size == 0:
+def reduced_space_from_indices(m: int, selected) -> FilterSpace:
+    """Pattern table holding the given distinct canonical indices, in order."""
+    size = space_size(m)
+    indices = np.array(selected, dtype=np.int64)
+    if indices.size == 0:
         raise ConfigError("reduced space needs at least one filter")
-    if selected.size != np.unique(selected).size:
+    if indices.size != np.unique(indices).size:
         raise ConfigError("reduced space indices must be distinct")
-    signs = np.stack([cells_from_index(m, int(i)).reshape(-1).astype(np.float64)
-                      for i in selected])
-    if usage_counts is None:
-        usage_counts = np.zeros(space_size(m), dtype=np.int64)
-    counts = np.asarray(usage_counts, dtype=np.int64).copy()
-    for a in (selected, signs, counts):
-        a.setflags(write=False)
-    return ReducedSpace(m=m, selected=selected, usage_counts=counts,
-                        signs=signs, indices=selected)
+    if indices.min() < 0 or indices.max() >= size:
+        raise ConfigError(f"canonical index out of range [0, {size}) for m={m}")
+    bits = (indices[:, None] >> np.arange(m * m - 1)[None, :]) & 1
+    signs = np.empty((indices.size, m * m), dtype=np.float64)
+    signs[:, 0] = 1.0
+    signs[:, 1:] = bits * 2.0 - 1.0
+    indices.setflags(write=False)
+    signs.setflags(write=False)
+    return FilterSpace(m, indices, signs)
 
 
 @dataclass(frozen=True)
@@ -178,7 +147,7 @@ class ProjectionResult:
 
 def enumerate_space(m: int) -> FilterSpace:
     """All canonical sign patterns of side m, ordered by canonical index."""
-    return FilterSpace(m)
+    return reduced_space_from_indices(m, np.arange(space_size(m)))
 
 
 def _flat_kernel(w, m: int) -> np.ndarray:
@@ -205,8 +174,7 @@ def project_scale(w, f) -> float:
 def nearest_filter(w, space) -> ProjectionResult:
     """Pattern in `space` minimizing the least-squares residual to w.
 
-    Ties are broken by the lowest canonical index.  Accepts a FilterSpace or
-    a ReducedSpace.
+    Ties are broken by the lowest canonical index.
     """
     wf = _flat_kernel(w, space.m)
     rows, scales, residuals = project_batch(wf[None, :], space)
@@ -219,9 +187,12 @@ def project_batch(kernels, space, block: int = 2048):
     """Nearest pattern for many flat kernels at once.
 
     kernels is (J, m*m); returns (rows, scales, residuals) where rows index
-    into `space` (not canonical indices).  Agrees with nearest_filter on
-    every row, including the lowest-canonical-index tie rule.  Work is
-    chunked so the (block, len(space), m*m) intermediate stays small.
+    into `space` (not canonical indices).  The residual to pattern s is
+    |w|^2 - (w . s)^2 / m^2, so the nearest pattern in any space is the one
+    with the largest |w . s|; only that pattern's scale and residual are
+    computed.  Agrees with nearest_filter on every row, including the
+    lowest-canonical-index tie rule.  Work is chunked so the
+    (block, len(space)) intermediate stays small.
     """
     m = space.m
     mm = m * m
@@ -230,7 +201,7 @@ def project_batch(kernels, space, block: int = 2048):
         raise DimensionError(f"expected (J, {mm}) kernels, got shape {kernels.shape}")
     if len(space) == 0:
         raise ConfigError("cannot search an empty filter space")
-    # scan columns in ascending canonical order so argmin's first-match
+    # scan columns in ascending canonical order so argmax's first-match
     # behavior lands on the lowest index among exact ties
     order = np.argsort(space.indices, kind="stable")
     signs = space.signs[order]
@@ -240,20 +211,19 @@ def project_batch(kernels, space, block: int = 2048):
     residuals = np.empty(j)
     for lo in range(0, j, block):
         chunk = kernels[lo:lo + block]
-        # elementwise product + axis reduction, not BLAS: the rounding then
-        # does not depend on how many kernels share the call
-        sc = (chunk[:, None, :] * signs[None, :, :]).sum(axis=2) / mm
-        diff = chunk[:, None, :] - sc[:, :, None] * signs[None, :, :]
-        res = (diff * diff).sum(axis=2)
-        pos = res.argmin(axis=1)
-        take = np.arange(chunk.shape[0])
+        # einsum, not BLAS: the rounding then does not depend on how many
+        # kernels share the call
+        dots = np.einsum("jk,nk->jn", chunk, signs)
+        pos = np.abs(dots).argmax(axis=1)
+        picked = signs[pos]
+        scale = (chunk * picked).sum(axis=1) / mm
         rows[lo:lo + block] = order[pos]
-        scales[lo:lo + block] = sc[take, pos]
-        residuals[lo:lo + block] = res[take, pos]
+        scales[lo:lo + block] = scale
+        residuals[lo:lo + block] = ((chunk - scale[:, None] * picked) ** 2).sum(axis=1)
     return rows, scales, residuals
 
 
-def select_top_filters(usage_counts, nr: int) -> ReducedSpace:
+def select_top_filters(usage_counts, nr: int) -> FilterSpace:
     """Keep the nr most-used patterns.
 
     Descending count; ties resolved toward the lower canonical index.  The
@@ -268,4 +238,4 @@ def select_top_filters(usage_counts, nr: int) -> ReducedSpace:
     if nr > counts.size:
         raise ConfigError(f"cannot select {nr} filters from a space of {counts.size}")
     order = np.lexsort((np.arange(counts.size), -counts))
-    return reduced_space_from_indices(m, order[:nr], counts)
+    return reduced_space_from_indices(m, order[:nr])

@@ -173,3 +173,23 @@ def test_readme_quickstart_runs_as_written(tmp_path, monkeypatch):
         except SystemExit as exc:  # argparse usage error
             code = exc.code
         assert code == 0, " ".join(argv)
+
+
+def test_exit_code_training_error(workspace, tmp_path, capsys):
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(SMALL_CONFIG.replace("lr = 0.05", "lr = 1e300"))
+    assert cli.main(["train", "--config", str(cfg), "--seed", "0",
+                     "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "run")]) == 2
+    assert "training error: non-finite" in capsys.readouterr().err
+
+
+def test_bench_without_surviving_windows_is_data_error(workspace, tmp_path,
+                                                        capsys):
+    # a 20x20 frame holds four 16px windows and pruning keeps none of them
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(SMALL_CONFIG.replace("image_w = 80", "image_w = 20")
+                   .replace("image_h = 60", "image_h = 20"))
+    assert cli.main(["bench", "--config", str(cfg),
+                     "--model", str(workspace["model"])]) == 3
+    assert "data error: no 16px window" in capsys.readouterr().err

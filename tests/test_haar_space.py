@@ -206,3 +206,35 @@ def test_nearest_in_reduced_space():
     got = hs.nearest_filter(w, reduced)
     assert got.index == 255 and got.scale == pytest.approx(2.5)
     assert got.residual == pytest.approx(0.0, abs=1e-18)
+
+
+def test_project_batch_tie_rule_with_zero_cells():
+    # zero cells make patterns tie exactly; the lowest canonical index wins
+    rng = np.random.default_rng(4)
+    w = rng.normal(size=(300, 9))
+    w[rng.random(w.shape) < 0.3] = 0.0
+    w[:60, 0] = 0.0                                # cell (0, 0) zero
+    w[60:63] = 0.0
+    w[63, 1:] = 0.0                                # only cell (0, 0) nonzero
+    w[64:128] = -w[:64]                            # +-w pairs
+    full = hs.enumerate_space(3)
+    # kernel 0 has a zero anchor, so +-sign(w) with cell (0, 0) set to +1 tie
+    sign = np.where(w[0] < 0, -1, 1)
+    partners = [hs.index_from_cells(np.r_[1, s[1:]]) for s in (sign, -sign)]
+    rest = rng.choice(np.setdiff1d(np.arange(256), partners), 30, replace=False)
+    reduced = hs.reduced_space_from_indices(
+        3, sorted(np.r_[partners, rest], reverse=True))
+    for space in (full, reduced):
+        order = np.argsort(space.indices)
+        signs, indices = space.signs[order], space.indices[order]
+        rows, scales, residuals = hs.project_batch(w, space)
+        for i, wf in enumerate(w):
+            lam = signs @ wf / 9.0
+            res = ((wf[None, :] - lam[:, None] * signs) ** 2).sum(axis=1)
+            best = int(np.argmin(res))          # ties resolve to the lowest index
+            assert space.indices[rows[i]] == indices[best], i
+            assert scales[i] == pytest.approx(lam[best], abs=1e-12)
+            assert residuals[i] == pytest.approx(res[best], abs=1e-12)
+        assert np.array_equal(rows[64:128], rows[:64])
+        assert np.array_equal(scales[64:128], -scales[:64])
+        assert np.array_equal(residuals[64:128], residuals[:64])
