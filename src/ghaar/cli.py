@@ -226,8 +226,8 @@ def cmd_bench(args):
                         f"frame: nothing to time")
     counter = cm.OpCounter()
     start = time.perf_counter()
-    for lo in range(0, len(wins_f), 256):
-        batch = wins_f[lo:lo + 256]
+    for lo in range(0, len(wins_f), pl.DETECT_BATCH_SIZE):
+        batch = wins_f[lo:lo + pl.DETECT_BATCH_SIZE]
         x = np.stack([ppm.normalize_image(wd.crop_window(win, levels, ws))
                       for win in batch])
         cm.forward_fast(model, x, counter=counter)

@@ -358,33 +358,34 @@ def haar_conv_step(pattern, patch, k, counter=None):
 
 
 def _conv_fast(x, lp, space, layer):
-    """Constrained conv layer via shared signed window sums.
+    """Constrained conv layer via shared signed window sums; channel-major
+    (C, N, H, W) in, (O, N, H, W) out, like nn_core._conv_forward.
 
     The layer uses Q distinct (input channel, pattern) pairs.  Each pair's
     signed window sum is computed once, as one small GEMM per input channel
-    (that channel's used sign rows times its im2col columns).  The factors
-    are scattered into an (O, Q) matrix, so a second GEMM applies every
-    kernel's single multiply and sums over input channels.
+    (that channel's used sign rows times its k*k rows of the im2col
+    matrix, a plain slice).  The factors are scattered into an (O, Q)
+    matrix, so a second GEMM applies every kernel's single multiply and
+    sums over input channels.
     """
-    n, c = x.shape[:2]
+    c, n = x.shape[:2]
     o, k = layer.out_channels, layer.kernel_size
+    kk = k * k
     cols, ho, wo = nn._im2col(x, k, (k - 1) // 2)
-    p = ho * wo
-    cols = cols.reshape(n, c, k * k, p).transpose(1, 2, 0, 3).reshape(c, k * k, n * p)
     # pair key c*nr + pattern; np.unique sorts the pairs by channel
     keys = np.arange(c) * len(space) + lp.filter_idx
     pairs, pair_of = np.unique(keys, return_inverse=True)
     bounds = np.searchsorted(pairs, np.arange(c + 1) * len(space))
     patterns = pairs % len(space)
-    sums = np.empty((pairs.size, n * p))
+    sums = np.empty((pairs.size, cols.shape[1]))
     for ch in range(c):
         lo, hi = bounds[ch], bounds[ch + 1]
-        sums[lo:hi] = space.signs[patterns[lo:hi]] @ cols[ch]
+        sums[lo:hi] = space.signs[patterns[lo:hi]] @ cols[ch * kk:(ch + 1) * kk]
     scatter = np.zeros((o, pairs.size))
     scatter[np.arange(o)[:, None], pair_of.reshape(o, c)] = lp.factors
-    out = (scatter @ sums).reshape(o, n, p).transpose(1, 0, 2)
-    out = out + lp.bias[None, :, None]
-    return out.reshape(n, o, ho, wo)
+    out = scatter @ sums
+    out += lp.bias[:, None]
+    return out.reshape(o, n, ho, wo)
 
 
 def layer_positions(spec):
@@ -393,7 +394,7 @@ def layer_positions(spec):
 
     def conv(layer, x):
         out[layer.name] = x.shape[2] * x.shape[3]
-        return np.zeros((1, layer.out_channels) + x.shape[2:]), None
+        return np.zeros((layer.out_channels, 1) + x.shape[2:]), None
 
     size = (spec.in_channels, spec.input_size, spec.input_size)
     nn.run_network(spec, np.zeros(size), conv)

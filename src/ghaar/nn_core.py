@@ -4,6 +4,13 @@ Plain numpy, float64, stride-1 convolutions via im2col.  This is the
 training substrate and the reference path the compressed inference is
 checked against.  Inputs are (N, C, H, W) batches; single windows can be
 passed as (C, H, W).
+
+Inside the layer walk (run_network) activations are channel-major,
+(C, N, H, W): the im2col matrix (C*k*k, N*H*W) is built in one copy, and
+the conv GEMM's (O, N*H*W) output is the next layer's input as it is.  The
+public functions keep the (N, C, H, W) contract and transpose (as views)
+at their edges; backward runs sample-major over views of the walk's
+records.
 """
 
 from dataclasses import dataclass, field
@@ -161,14 +168,19 @@ def _as_batch(x):
 
 
 def _im2col(x, k, pad):
-    """(N, C, H, W) -> columns (N, C*k*k, P) for stride-1 windows."""
-    n, c, h, w = x.shape
+    """(C, N, H, W) -> columns (C*k*k, N*Ho*Wo) for stride-1 windows.
+
+    Row c*k*k + i*k + j holds input channel c shifted by kernel cell (i, j);
+    the columns run over windows, then positions.  One copy (none for a
+    contiguous 1x1 input).
+    """
+    c, n = x.shape[:2]
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    view = sliding_window_view(x, (k, k), axis=(2, 3))   # (N, C, Ho, Wo, k, k)
+    view = sliding_window_view(x, (k, k), axis=(2, 3))   # (C, N, Ho, Wo, k, k)
     ho, wo = view.shape[2], view.shape[3]
-    cols = view.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, ho * wo)
-    return np.ascontiguousarray(cols), ho, wo
+    cols = np.ascontiguousarray(view.transpose(0, 4, 5, 1, 2, 3))
+    return cols.reshape(c * k * k, n * ho * wo), ho, wo
 
 
 def conv2d_dense(x, kernels, bias=None):
@@ -186,29 +198,31 @@ def conv2d_dense(x, kernels, bias=None):
         raise DimensionError(f"input has {x.shape[1]} channels, kernels expect {c}")
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
-    out, _ = _conv_forward(x, kernels, bias)
-    return out[0] if squeeze else out
+    out, _ = _conv_forward(x.transpose(1, 0, 2, 3), kernels, bias)
+    return out[:, 0] if squeeze else out.transpose(1, 0, 2, 3)
 
 
 def _conv_forward(x, kernels, bias):
-    """(N, C, H, W) conv via im2col; returns (output, im2col columns)."""
+    """(C, N, H, W) conv via im2col; returns ((O, N, H, W) output, the
+    (C*k*k, N*H*W) im2col columns)."""
     o, c, k, _ = kernels.shape
     cols, ho, wo = _im2col(x, k, (k - 1) // 2)
-    n = x.shape[0]
-    flat = kernels.reshape(o, c * k * k)
-    out = flat @ cols.transpose(1, 0, 2).reshape(c * k * k, n * ho * wo)
-    out = out.reshape(o, n, ho * wo).transpose(1, 0, 2)
+    out = kernels.reshape(o, c * k * k) @ cols
     if bias is not None:
-        out = out + bias[None, :, None]
-    return out.reshape(n, o, ho, wo), cols
+        out += bias[:, None]
+    return out.reshape(o, x.shape[1], ho, wo), cols
 
 
-def _conv_backward(dout, cols, x_shape, lp: LayerParams):
-    n, c, h, w = x_shape
-    o, _, k, _ = lp.kernels.shape
-    p = dout.shape[2] * dout.shape[3]
-    dflat = dout.reshape(n, o, p)
-    dw = np.einsum("nop,nqp->oq", dflat, cols).reshape(o, c, k, k)
+def _conv_backward(dout, cols, lp: LayerParams):
+    """Sample-major dout (N, O, H, W) and the forward's channel-major
+    columns -> (dx, dw, db), dx sample-major."""
+    n, o = dout.shape[:2]
+    dflat = dout.reshape(n, o, -1)
+    # einsum's summation order follows its operands' memory layout; it is
+    # given the (N, C*k*k, P) layout that the trained bits depend on
+    cols = np.ascontiguousarray(
+        cols.reshape(cols.shape[0], n, -1).transpose(1, 0, 2))
+    dw = np.einsum("nop,nqp->oq", dflat, cols).reshape(lp.kernels.shape)
     db = dflat.sum(axis=(0, 2))
     flipped = lp.kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     dx = conv2d_dense(dout, np.ascontiguousarray(flipped))
@@ -221,12 +235,27 @@ def maxpool2x2(x):
     h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise DimensionError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
-    out, _ = _maxpool_forward(x)
+    out = _maxpool_values(x)
     return out[0] if squeeze else out
 
 
+def _maxpool_values(x):
+    """2x2 max over the last two axes as a max of the four block cells.
+
+    np.maximum(later, earlier) keeps its second argument on a tie, so the
+    values (signed zeros included) equal _maxpool_forward's first-cell pick.
+    """
+    out = np.maximum(x[..., ::2, 1::2], x[..., ::2, ::2])
+    np.maximum(x[..., 1::2, ::2], out, out=out)
+    np.maximum(x[..., 1::2, 1::2], out, out=out)
+    return out
+
+
 def _maxpool_forward(x):
-    """(pooled, argmax within each 2x2 block); ties go to the first cell."""
+    """(pooled, argmax within each 2x2 block); ties go to the first cell.
+
+    Pools the last two axes of any 4-d array; backward needs the argmax.
+    """
     n, c, h, w = x.shape
     blocks = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
     flat = blocks.reshape(n, c, h // 2, w // 2, 4)
@@ -270,11 +299,18 @@ def walk(spec: NetworkSpec, x, step):
 def run_network(spec: NetworkSpec, x, conv, record=None):
     """Run the two-headed network with a given conv implementation.
 
-    conv(layer, x) returns (pre-activation, aux) for a conv layer; ReLU,
-    pooling, averaging and softmax are applied here.  record, when given,
-    receives one (layer, input shape, pre-activation, aux) step per layer:
-    pre-activation is None except on conv layers, aux is the conv's aux,
-    the pooling argmax or the softmax output.  Returns (loc, probs).
+    x is (N, C, H, W) or (C, H, W).  Inside, activations are channel-major
+    (C, N, H, W) up to global averaging, which yields (N, C) rows; a head
+    that ends without averaging returns its maps as (N, C, H, W).
+    conv(layer, x) receives the channel-major input and returns a fresh
+    (O, N, H, W) pre-activation, which ReLU then overwrites in place, plus
+    an aux.  Pooling, averaging and softmax are applied here; pooling is
+    the plain 2x2 max unless record is given.  record receives one
+    (layer, input shape, output, aux) step per layer: the input shape is
+    the channel-major one ((C, N, H, W), or (N, C) at softmax); output is
+    the conv's activated output, None on other layers; aux is the conv's
+    aux, the pooling argmax (for backward) or the softmax output.
+    Returns (loc, probs).
     """
     x, squeeze = _as_batch(x)
     if x.shape[1:] != (spec.in_channels, spec.input_size, spec.input_size):
@@ -283,21 +319,26 @@ def run_network(spec: NetworkSpec, x, conv, record=None):
             f"({spec.in_channels}, {spec.input_size}, {spec.input_size})")
 
     def step(layer, x):
-        pre = aux = None
+        out = aux = None
         if layer.kind == "conv":
-            pre, aux = conv(layer, x)
-            out = np.maximum(pre, 0.0) if layer.relu else pre
+            out, aux = conv(layer, x)
+            if layer.relu:
+                np.maximum(out, 0.0, out=out)
         elif layer.kind == "maxpool":
-            out, aux = _maxpool_forward(x)
+            if record is None:
+                out = _maxpool_values(x)
+            else:
+                out, aux = _maxpool_forward(x)
         elif layer.kind == "gap":
-            out = x.mean(axis=(2, 3))
+            out = x.mean(axis=(2, 3)).T
         else:
             out = aux = softmax(x)
         if record is not None:
-            record((layer, x.shape, pre, aux))
+            record((layer, x.shape, out if layer.kind == "conv" else None, aux))
         return out
 
-    loc, probs = walk(spec, x, step)
+    loc, probs = (y.transpose(1, 0, 2, 3) if y.ndim == 4 else y
+                  for y in walk(spec, x.transpose(1, 0, 2, 3), step))
     return (loc[0], probs[0]) if squeeze else (loc, probs)
 
 
@@ -323,6 +364,8 @@ def backward(params: ModelParams, cache, grad_loc, grad_cla):
 
     grad_cla is taken against the post-softmax probabilities.  Returns a
     dict name -> (dkernels, dbias) matching the parameter shapes.
+    Gradients flow sample-major (N, C, H, W), over sample-major views of
+    the channel-major forward records.
     """
     if cache is None or "steps" not in cache:
         raise ConfigError("backward needs the cache from a matching forward call")
@@ -333,20 +376,21 @@ def backward(params: ModelParams, cache, grad_loc, grad_cla):
     grads = {}
 
     def run_back(lo, hi, dx):
-        for layer, x_shape, pre, aux in reversed(steps[lo:hi]):
+        for layer, x_shape, out, aux in reversed(steps[lo:hi]):
             if layer.kind == "softmax":
                 dot = (dx * aux).sum(axis=1, keepdims=True)
                 dx = aux * (dx - dot)
             elif layer.kind == "gap":
-                n, c, h, w = x_shape
+                c, n, h, w = x_shape
                 dx = np.broadcast_to(dx[:, :, None, None] / (h * w), (n, c, h, w))
             elif layer.kind == "maxpool":
-                dx = _maxpool_backward(dx, aux, x_shape)
+                c, n, h, w = x_shape
+                dx = _maxpool_backward(dx, aux.transpose(1, 0, 2, 3), (n, c, h, w))
             else:
                 if layer.relu:
-                    dx = dx * (pre > 0)
+                    dx = dx * (out.transpose(1, 0, 2, 3) > 0)
                 lp = params.layers[layer.name]
-                dx, dw, db = _conv_backward(dx, aux, x_shape, lp)
+                dx, dw, db = _conv_backward(dx, aux, lp)
                 grads[layer.name] = (dw, db)
         return dx
 

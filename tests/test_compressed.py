@@ -1,5 +1,6 @@
 """Codec round trips, fast-path fidelity, and operation accounting."""
 
+import functools
 import struct
 
 import numpy as np
@@ -149,6 +150,47 @@ def test_decode_rejects_bad_pattern_ref():
     with pytest.raises(FormatError) as err:
         cm.decode_model(bytes(data))
     assert err.value.offset == rec_off
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_model_bytes():
+    params, space = trained_like_params(seed=3)
+    return cm.encode_model(cm.compress(params, space))
+
+
+# (kind, position, argument); positions wrap around the current length
+MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
+    st.tuples(st.just("insert"), st.integers(0, 10**6),
+              st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6), st.none()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations=st.lists(MUTATIONS, min_size=1, max_size=4))
+@example(mutations=[("truncate", 0, None)])
+@example(mutations=[("flip", 4, 1)])                  # version
+@example(mutations=[("flip", 22, 0x80)])              # spec length
+@example(mutations=[("flip", 665, 0xFF)])             # pattern count
+@example(mutations=[("flip", 1040, 0x7F)])            # second record's ref
+@example(mutations=[("flip", 1044, 0x7F)])            # its factor's top byte
+@example(mutations=[("insert", 1036, b"\x00")])       # shifts every record
+@example(mutations=[("truncate", 1038, None)])        # inside the first factor
+def test_decode_mutated_bytes_raises_only_format_error(mutations):
+    data = bytearray(fuzz_model_bytes())
+    for kind, pos, arg in mutations:
+        pos %= len(data) + 1
+        if kind == "flip" and pos < len(data):
+            data[pos] ^= arg
+        elif kind == "insert":
+            data[pos:pos] = arg
+        elif kind == "truncate":
+            del data[pos:]
+    try:
+        cm.decode_model(bytes(data))
+    except FormatError:
+        pass
 
 
 # one stored float32 of each kind: a constrained factor, a bias, a 1x1 kernel

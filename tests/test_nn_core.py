@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ghaar.errors import ConfigError, DimensionError
 from ghaar import nn_core as nn
@@ -84,6 +86,56 @@ def test_maxpool_backward_routes_to_first_max():
     # all four tie; gradient goes to the first scanned cell only
     assert dx.sum() == 1.0
     assert dx[0, 0, 0, 0] == 1.0
+
+
+def same_bits(a, b):
+    """Equal shapes, NaN where the other is NaN, and every other value
+    bitwise equal (so -0.0 differs from 0.0)."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64),
+                               b[~nan].view(np.uint64)))
+
+
+def pool_only_spec(c, side):
+    return nn.NetworkSpec(input_size=side, in_channels=c, classes=c,
+                          shared_trunk=(nn.LayerSpec("pool1", "maxpool"),),
+                          loc_head=(), cla_head=())
+
+
+# few distinct values, so that blocks often hold ties
+POOL_CELLS = (st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+              | st.floats(allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=arrays(np.float64,
+                st.tuples(st.integers(1, 3), st.integers(1, 3),
+                          st.integers(1, 3).map(lambda v: 2 * v)
+                          ).map(lambda t: t + t[2:]),
+                elements=POOL_CELLS))
+@example(x=np.full((1, 1, 2, 2), 2.0))
+@example(x=np.array([[[[-0.0, 0.0], [0.0, 0.0]]]]))
+@example(x=np.array([[[[0.0, -0.0], [-0.0, -0.0]]]]))
+@example(x=np.array([[[[-1.0, -0.0], [0.0, -0.0]]]]))
+@example(x=np.array([[[[1.0, np.nan], [3.0, -1.0]]]]))
+@example(x=np.array([[[[np.nan, 5.0], [np.inf, np.nan]]]]))
+def test_inference_pool_equals_argmax_pool(x):
+    want, _ = nn._maxpool_forward(x)
+    assert same_bits(nn._maxpool_values(x), want)
+    assert same_bits(nn.maxpool2x2(x), want)
+    # through the layer walk: plain max without a record hook, the argmax
+    # pool with one
+    spec = pool_only_spec(x.shape[1], x.shape[2])
+    plain, _ = nn.run_network(spec, x, conv=None)
+    steps = []
+    recorded, _ = nn.run_network(spec, x, conv=None, record=steps.append)
+    assert same_bits(plain, want)
+    assert same_bits(recorded, want)
+    (layer, shape, out, arg), = steps
+    assert shape == (x.shape[1], x.shape[0]) + x.shape[2:]
+    assert out is None
+    assert np.array_equal(arg, nn._maxpool_forward(x)[1].transpose(1, 0, 2, 3))
 
 
 def test_softmax_properties():

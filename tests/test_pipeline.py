@@ -107,6 +107,49 @@ def test_nms_output_is_antichain():
         pl.nms(dets, 0.0)
 
 
+def pairwise_nms(dets, iou_thresh):
+    """The pairwise-loop NMS that pl.nms replaced, kept as its reference."""
+    kept = []
+    for d in sorted(dets, key=pl._rank_key):
+        if any(k.label == d.label and pl.iou(k.box, d.box) > iou_thresh
+               for k in kept):
+            continue
+        kept.append(d)
+    return kept
+
+
+def test_nms_matches_pairwise_reference():
+    rng = np.random.default_rng(29)
+    for trial in range(150):
+        n = int(rng.integers(0, 40))
+        dets = []
+        for _ in range(n):
+            # integer corners on a small grid and a few score levels, so
+            # boxes, scores and IoU values tie exactly
+            x, y = rng.integers(0, 12, size=2)
+            w, h = rng.integers(1, 8, size=2)
+            box = tuple(float(v) for v in (x, y, x + w, y + h))
+            dets.append(pl.Detection(
+                box=box, label=int(rng.integers(1, 3)),
+                score=float(rng.choice([0.5, 0.6, 0.75, 0.9])),
+                source_window=win()))
+        if n > 1:
+            dets.append(dets[int(rng.integers(n))])        # a duplicate
+        thresholds = [0.5, 0.25, 1.0, float(rng.uniform(0.05, 0.95))]
+        # IoU values that occur in the set, so some pairs sit exactly at
+        # the threshold
+        for _ in range(3):
+            if n > 1:
+                i, j = rng.choice(n, size=2, replace=False)
+                v = pl.iou(dets[i].box, dets[j].box)
+                if v > 0.0:
+                    thresholds.append(v)
+        for t in thresholds:
+            got = pl.nms(dets, t)
+            want = pairwise_nms(dets, t)
+            assert [id(d) for d in got] == [id(d) for d in want], (trial, t)
+
+
 def test_mean_shift_empty_and_single():
     assert pl.mean_shift_refine([]) == []
     d = det((10, 20, 50, 70), score=0.7)
@@ -258,3 +301,21 @@ def test_detect_image_threshold_filters_everything():
     rng = np.random.default_rng(23)
     image = rng.integers(0, 256, size=(40, 40, 3), dtype=np.uint8)
     assert pl.detect_image(model, image, score_thresh=2.0) == []
+
+
+def test_detect_image_independent_of_batch_size():
+    model = tiny_model()
+    rng = np.random.default_rng(31)
+    image = rng.integers(0, 256, size=(64, 80, 3), dtype=np.uint8)
+    diag = {}
+    want = pl.detect_image(model, image, score_thresh=0.2, diagnostics=diag)
+    assert diag["windows"] > pl.DETECT_BATCH_SIZE
+    assert want
+    for batch in (1, 7, diag["windows"], diag["windows"] + 5):
+        got = pl.detect_image(model, image, score_thresh=0.2,
+                              batch_size=batch)
+        assert len(got) == len(want), batch
+        for g, w in zip(got, want):
+            assert g.label == w.label
+            assert abs(g.score - w.score) <= 1e-9
+            assert max(abs(a - b) for a, b in zip(g.box, w.box)) <= 1e-9
