@@ -307,9 +307,11 @@ def run_network(spec: NetworkSpec, x, conv, record=None):
     an aux.  Pooling, averaging and softmax are applied here; pooling is
     the plain 2x2 max unless record is given.  record receives one
     (layer, input shape, output, aux) step per layer: the input shape is
-    the channel-major one ((C, N, H, W), or (N, C) at softmax); output is
-    the conv's activated output, None on other layers; aux is the conv's
-    aux, the pooling argmax (for backward) or the softmax output.
+    the channel-major one ((C, N, H, W), or (N, C) after averaging); output
+    is the conv's activated output, None on other layers; aux is the conv's
+    aux, the pooling argmax (for backward) or the softmax output, in the
+    layout of its input.  Softmax normalizes over channels: each row of
+    (N, C), or each position of (C, N, H, W) maps.
     Returns (loc, probs).
     """
     x, squeeze = _as_batch(x)
@@ -331,8 +333,10 @@ def run_network(spec: NetworkSpec, x, conv, record=None):
                 out, aux = _maxpool_forward(x)
         elif layer.kind == "gap":
             out = x.mean(axis=(2, 3)).T
-        else:
+        elif x.ndim == 2:
             out = aux = softmax(x)
+        else:                           # per-position softmax over channels
+            out = aux = softmax(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
         if record is not None:
             record((layer, x.shape, out if layer.kind == "conv" else None, aux))
         return out
@@ -378,6 +382,8 @@ def backward(params: ModelParams, cache, grad_loc, grad_cla):
     def run_back(lo, hi, dx):
         for layer, x_shape, out, aux in reversed(steps[lo:hi]):
             if layer.kind == "softmax":
+                if aux.ndim == 4:
+                    aux = aux.transpose(1, 0, 2, 3)
                 dot = (dx * aux).sum(axis=1, keepdims=True)
                 dx = aux * (dx - dot)
             elif layer.kind == "gap":

@@ -167,32 +167,15 @@ def mean_shift_refine(dets, bandwidth_frac=MEAN_SHIFT_BANDWIDTH):
     return out
 
 
-def _ious(kept, box):
-    """iou(k, box) for every row k of the (m, 4) array kept, in iou's
-    float64 operation order; a box that does not overlap gets 0."""
-    iw = np.minimum(kept[:, 2], box[2]) - np.maximum(kept[:, 0], box[0])
-    ih = np.minimum(kept[:, 3], box[3]) - np.maximum(kept[:, 1], box[1])
-    # clipped, a non-overlap gives inter = 0 and never a zero union
-    iw, ih = np.maximum(iw, 0.0), np.maximum(ih, 0.0)
-    inter = iw * ih
-    union = ((kept[:, 2] - kept[:, 0]) * (kept[:, 3] - kept[:, 1])
-             + (box[2] - box[0]) * (box[3] - box[1]) - inter)
-    return inter / union
-
-
 def nms(dets, iou_thresh=DETECT_NMS_IOU):
     """Greedy per-class suppression of overlaps strictly above iou_thresh."""
     if not 0.0 < iou_thresh <= 1.0:
         raise ConfigError(f"iou_thresh must be in (0, 1], got {iou_thresh}")
-    ranked = sorted(dets, key=_rank_key)
-    boxes = np.array([d.box for d in ranked], dtype=np.float64).reshape(-1, 4)
-    kept_rows = {}                      # label -> rows of its kept boxes
     kept = []
-    for i, d in enumerate(ranked):
-        rows = kept_rows.setdefault(d.label, [])
-        if rows and (_ious(boxes[rows], boxes[i]) > iou_thresh).any():
+    for d in sorted(dets, key=_rank_key):
+        if any(k.label == d.label and iou(k.box, d.box) > iou_thresh
+               for k in kept):
             continue
-        rows.append(i)
         kept.append(d)
     return kept
 

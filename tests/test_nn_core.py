@@ -1,5 +1,7 @@
 """Dense engine: conv/pool/softmax semantics and gradient correctness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -148,6 +150,40 @@ def test_softmax_properties():
     assert np.allclose(nn.softmax(z + 1000.0), p)
     single = nn.softmax(np.array([0.0, np.log(3.0)]))
     assert single == pytest.approx([0.25, 0.75])
+
+
+def test_softmax_on_maps_is_per_window_and_per_position():
+    # a class head that ends without averaging: softmax over the channels
+    # at every position of every window, independent of the batch
+    spec = nn.build_network_spec(in_channels=2, classes=3, window=32,
+                                 trunk_widths=(3, 4, 4, 5), head_widths=(4, 4),
+                                 bottleneck=3, constrained=False)
+    no_gap = tuple(l for l in spec.cla_head if l.kind != "gap")
+    maps = dataclasses.replace(spec, cla_head=no_gap)
+    logits_only = dataclasses.replace(spec, cla_head=no_gap[:-1])
+    params = nn.init_params(maps, seed=5)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(5, 2, 32, 32))
+    loc, probs, cache = nn.forward(params, x)
+    assert probs.shape == (5, 3, 2, 2)
+    _, logits, _ = nn.forward(dataclasses.replace(params, spec=logits_only), x,
+                              want_cache=False)
+    want = nn.softmax(logits.transpose(0, 2, 3, 1).reshape(-1, 3))
+    assert rel_err(probs.transpose(0, 2, 3, 1).reshape(-1, 3), want) < 1e-15
+    for i in (0, 4):
+        _, pi, _ = nn.forward(params, x[i], want_cache=False)
+        assert rel_err(pi, probs[i]) < 1e-12
+    # backward through the per-position softmax
+    tl, tc = rng.normal(size=(5, 4)), rng.uniform(size=probs.shape)
+    grads = nn.backward(params, cache, 2.0 * (loc - tl), 2.0 * (probs - tc))
+    lp, h = params.layers["cla_out"], 1e-6
+    old = lp.kernels[1, 0, 0, 0]
+    lp.kernels[1, 0, 0, 0] = old + h
+    up = loss_of(params, x, tl, tc)
+    lp.kernels[1, 0, 0, 0] = old - h
+    down = loss_of(params, x, tl, tc)
+    lp.kernels[1, 0, 0, 0] = old
+    assert rel_err((up - down) / (2 * h), grads["cla_out"][0][1, 0, 0, 0]) < 1e-4
 
 
 def test_network_shapes():

