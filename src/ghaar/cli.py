@@ -44,7 +44,7 @@ def _save_model(model, path):
 
 
 def _geometry(cfg):
-    if cfg is not None and cf.has_geometry(cfg):
+    if cf.has_geometry(cfg):
         return cf.camera_from_config(cfg), cf.ranges_from_config(cfg)
     return None, None
 
@@ -75,7 +75,7 @@ def cmd_train(args):
     cfg = cf.parse_config(args.config)
     tc = cf.train_config_from_config(cfg, seed=args.seed)
     manifest = sy.load_manifest(args.data)
-    ratio = cf.get_float(cfg, "pyramid_ratio", wd.DEFAULT_RATIO)
+    ratio = cf.detect_settings_from_config(cfg)["ratio"]
     ex = cf.extract_params_from_config(cfg)
     x, loc, labels = sy.extract_samples(manifest, args.data, ws=tc.window,
                                         ratio=ratio, seed=tc.seed, **ex)
@@ -110,37 +110,27 @@ def cmd_train(args):
     return 0
 
 
-def _detect_on_manifest(model, manifest, src_dir, cam, ranges, stride_frac,
-                        ratio, dp):
-    dets_by, gts_by = {}, {}
-    for name, gts in manifest.entries:
-        image = ppm.read_ppm(os.path.join(src_dir, name))
-        dets_by[name] = pl.detect_image(model, image, cam, ranges,
-                                        stride_frac=stride_frac, ratio=ratio,
-                                        **dp)
-        gts_by[name] = list(gts)
-    return dets_by, gts_by
-
-
 def cmd_eval(args):
     cfg = cf.parse_config(args.config)
     model = _load_model(args.model)
     manifest = sy.load_manifest(args.data)
     cam, ranges = _geometry(cfg)
-    _, stride_frac, ratio = cf.window_params_from_config(cfg)
-    dp = cf.detect_params_from_config(cfg)
-    dets_by, gts_by = _detect_on_manifest(model, manifest, args.data, cam,
-                                          ranges, stride_frac, ratio, dp)
+    settings = cf.detect_settings_from_config(cfg)
     kw = {}
     if "bands" in cfg and cam is not None:
-        edges = [float(v) for v in cfg["bands"].split()]
-        kw = dict(cam=cam, d3d=cf.get_float(cfg, "d3d"),
+        edges = cf.get_float_tuple(cfg, "bands")
+        kw = dict(cam=cam, d3d=ranges.d3d,
                   band_edges=list(zip(edges, edges[1:])))
-    rep = pl.evaluate(dets_by, gts_by, **kw)
+    dets_by = {}
+    for name, _ in manifest.entries:
+        image = ppm.read_ppm(os.path.join(args.data, name))
+        dets_by[name] = pl.detect_image(model, image, cam, ranges, **settings)
+    rep = pl.evaluate(dets_by, dict(manifest.entries), **kw)
     ex = cf.extract_params_from_config(cfg)
     wx, wloc, wlab = sy.extract_samples(manifest, args.data,
                                         ws=model.spec.input_size,
-                                        ratio=ratio, seed=args.seed, **ex)
+                                        ratio=settings["ratio"],
+                                        seed=args.seed, **ex)
     wm = tr.evaluate_windows(model.params, wx, wloc, wlab)
     lines = [
         f"images {len(manifest.entries)}",
@@ -167,19 +157,13 @@ def cmd_eval(args):
 
 def cmd_detect(args):
     model = _load_model(args.model)
-    cfg = cf.parse_config(args.config) if args.config else None
+    cfg = cf.parse_config(args.config) if args.config else {}
     cam, ranges = _geometry(cfg)
-    if cfg is not None:
-        _, stride_frac, ratio = cf.window_params_from_config(cfg)
-        dp = cf.detect_params_from_config(cfg)
-    else:
-        stride_frac, ratio = wd.DEFAULT_STRIDE_FRAC, wd.DEFAULT_RATIO
-        dp = {}
+    settings = cf.detect_settings_from_config(cfg)
     os.makedirs(args.out, exist_ok=True)
     for path in args.images:
         image = ppm.read_ppm(path)
-        dets = pl.detect_image(model, image, cam, ranges,
-                               stride_frac=stride_frac, ratio=ratio, **dp)
+        dets = pl.detect_image(model, image, cam, ranges, **settings)
         stem = os.path.splitext(os.path.basename(path))[0]
         csv_path = os.path.join(args.out, stem + "_det.csv")
         with open(csv_path, "w") as fh:
@@ -209,34 +193,29 @@ def cmd_bench(args):
     cfg = cf.parse_config(args.config)
     model = _load_model(args.model)
     cam, ranges = _geometry(cfg)
-    _, stride_frac, ratio = cf.window_params_from_config(cfg)
+    settings = cf.detect_settings_from_config(cfg)
     ws = model.spec.input_size
-    h = cf.get_int(cfg, "image_h", 384)
-    w = cf.get_int(cfg, "image_w", 512)
+    h = cf.get_int(cfg, "image_h", sy.SynthSettings.image_h)
+    w = cf.get_int(cfg, "image_w", sy.SynthSettings.image_w)
     rng = np.random.default_rng(args.seed)
     image = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
-    wins_s, levels = wd.final_windows(image, ws=ws, stride_frac=stride_frac,
-                                      ratio=ratio)
-    if cam is not None:
-        wins_f = wd.perspective_filter(wins_s, cam, ranges)
-    else:
-        wins_f = wins_s
-    if not wins_f:
+    sliding, _ = wd.final_windows(image, ws=ws,
+                                  stride_frac=settings["stride_frac"],
+                                  ratio=settings["ratio"])
+    counter, diag = cm.OpCounter(), {}
+    start = time.perf_counter()
+    pl.detect_image(model, image, cam, ranges, counter=counter,
+                    diagnostics=diag, **settings)
+    elapsed = time.perf_counter() - start
+    filtered = diag["windows"]
+    if not filtered:
         raise DataError(f"no {ws}px window survives pruning on a {w}x{h} "
                         f"frame: nothing to time")
-    counter = cm.OpCounter()
-    start = time.perf_counter()
-    for lo in range(0, len(wins_f), pl.DETECT_BATCH_SIZE):
-        batch = wins_f[lo:lo + pl.DETECT_BATCH_SIZE]
-        x = np.stack([ppm.normalize_image(wd.crop_window(win, levels, ws))
-                      for win in batch])
-        cm.forward_fast(model, x, counter=counter)
-    elapsed = time.perf_counter() - start
     dense = _dense_multiplies(model.spec, counter)
-    print(f"sliding_windows {len(wins_s)}")
-    print(f"filtered_windows {len(wins_f)}")
-    print(f"reduction {len(wins_f) / len(wins_s):.4f}")
-    print(f"windows_per_sec {len(wins_f) / elapsed:.1f}")
+    print(f"sliding_windows {len(sliding)}")
+    print(f"filtered_windows {filtered}")
+    print(f"reduction {filtered / len(sliding):.4f}")
+    print(f"windows_per_sec {filtered / elapsed:.1f}")
     print(f"fast_multiplies {counter.multiplies}")
     print(f"fast_additions {counter.additions}")
     print(f"dense_multiplies {dense}")

@@ -4,24 +4,19 @@ Format: one `key = value` per line, `#` starts a comment, blank lines
 ignored, later occurrences of a key win.  Values stay strings until a typed
 getter pulls them out.  List-valued keys hold whitespace-separated items
 (e.g. `trunk_widths = 64 128 256 256`).
+
+Defaults live in the library, not here: a key the file leaves out keeps the
+default of the TrainConfig or SynthSettings field, or of the extract_samples
+or detect_image argument, that it sets.
 """
 
 from __future__ import annotations
 
 from .errors import ConfigError
+from .pipeline import DETECT_NMS_IOU, DETECT_SCORE_THRESH, MEAN_SHIFT_BANDWIDTH
 from .training import TrainConfig
 from .synth import SynthSettings
-from .windows import (
-    DEFAULT_RATIO,
-    DEFAULT_STRIDE_FRAC,
-    DEFAULT_WS,
-    CameraModel,
-    SceneRanges,
-)
-
-CAMERA_KEYS = ("m11", "m22", "m13", "m23", "m14", "m24", "m34")
-RANGE_KEYS = ("x3d_min", "x3d_max", "y3d_min", "y3d_max", "d3d")
-
+from .windows import DEFAULT_RATIO, DEFAULT_STRIDE_FRAC, CameraModel, SceneRanges
 
 def parse_config_text(text, origin="<config>"):
     out = {}
@@ -83,6 +78,12 @@ def get_int_tuple(cfg, key, default=None):
                 "a list of integers")
 
 
+def get_float_tuple(cfg, key, default=None):
+    return _get(cfg, key, default,
+                lambda s: tuple(float(p) for p in s.split()),
+                "a list of numbers")
+
+
 def camera_from_config(cfg) -> CameraModel:
     return CameraModel(
         m11=get_float(cfg, "m11"), m22=get_float(cfg, "m22"),
@@ -102,28 +103,38 @@ def has_geometry(cfg) -> bool:
     return "m11" in cfg and "x3d_min" in cfg
 
 
+def _set_keys(cfg, getters):
+    """{key: typed value} for the keys of getters that the file sets."""
+    return {key: get(cfg, key) for key, get in getters.items() if key in cfg}
+
+
+# config key -> typed getter; each key names a TrainConfig field, except
+# ws (the window field) and loss_w_loc/loss_w_cla (the loss_weights pair)
+_TRAIN_KEYS = dict(
+    epochs=get_int, phase_a_epochs=get_int, lr=get_float, lr_decay=get_float,
+    decay_every=get_int, batch_size=get_int, phi=get_float, q=get_int,
+    nr=get_int, constrain=get_bool, in_channels=get_int, classes=get_int,
+    trunk_widths=get_int_tuple, head_widths=get_int_tuple,
+    bottleneck=get_int)
+
+_SYNTH_KEYS = dict(
+    n_images=get_int, image_w=get_int, image_h=get_int, ws=get_int,
+    max_objects=get_int, size_lo=get_float, size_hi=get_float, tries=get_int,
+    split=dict.get, color_margin=get_int)   # split stays a string
+
+_EXTRACT_KEYS = dict(n_jitter=get_int, jitter_frac=get_float,
+                     bg_ratio=get_float, flip=get_bool)
+
+
 def train_config_from_config(cfg, seed=None) -> TrainConfig:
-    kw = dict(
-        epochs=get_int(cfg, "epochs", 10),
-        lr=get_float(cfg, "lr", 0.01),
-        lr_decay=get_float(cfg, "lr_decay", 0.5),
-        decay_every=get_int(cfg, "decay_every", 10),
-        batch_size=get_int(cfg, "batch_size", 32),
-        phi=get_float(cfg, "phi", 0.1),
-        q=get_int(cfg, "q", 8),
-        nr=get_int(cfg, "nr", 32),
-        loss_weights=(get_float(cfg, "loss_w_loc", 1.0),
-                      get_float(cfg, "loss_w_cla", 1.0)),
-        constrain=get_bool(cfg, "constrain", True),
-        window=get_int(cfg, "ws", DEFAULT_WS),
-        in_channels=get_int(cfg, "in_channels", 3),
-        classes=get_int(cfg, "classes", 3),
-        trunk_widths=get_int_tuple(cfg, "trunk_widths", (64, 128, 256, 256)),
-        head_widths=get_int_tuple(cfg, "head_widths", (128, 128)),
-        bottleneck=get_int(cfg, "bottleneck", 64),
-    )
-    if "phase_a_epochs" in cfg:
-        kw["phase_a_epochs"] = get_int(cfg, "phase_a_epochs")
+    """An explicit seed beats the file's `seed` key."""
+    kw = _set_keys(cfg, _TRAIN_KEYS)
+    if "ws" in cfg:
+        kw["window"] = get_int(cfg, "ws")
+    if "loss_w_loc" in cfg or "loss_w_cla" in cfg:
+        w_loc, w_cla = TrainConfig.loss_weights
+        kw["loss_weights"] = (get_float(cfg, "loss_w_loc", w_loc),
+                              get_float(cfg, "loss_w_cla", w_cla))
     if seed is not None:
         kw["seed"] = seed
     elif "seed" in cfg:
@@ -132,42 +143,20 @@ def train_config_from_config(cfg, seed=None) -> TrainConfig:
 
 
 def synth_settings_from_config(cfg) -> SynthSettings:
-    kw = dict(
-        n_images=get_int(cfg, "n_images", 20),
-        image_w=get_int(cfg, "image_w", 512),
-        image_h=get_int(cfg, "image_h", 384),
-        ws=get_int(cfg, "ws", DEFAULT_WS),
-        max_objects=get_int(cfg, "max_objects", 2),
-        tries=get_int(cfg, "tries", 40),
-        split=cfg.get("split", "train"),
-        color_margin=get_int(cfg, "color_margin", 0),
-    )
-    if "size_lo" in cfg:
-        kw["size_lo"] = get_float(cfg, "size_lo")
-    if "size_hi" in cfg:
-        kw["size_hi"] = get_float(cfg, "size_hi")
-    return SynthSettings(**kw)
-
-
-def window_params_from_config(cfg):
-    """(ws, stride_frac, pyramid_ratio) with module defaults."""
-    return (get_int(cfg, "ws", DEFAULT_WS),
-            get_float(cfg, "stride_frac", DEFAULT_STRIDE_FRAC),
-            get_float(cfg, "pyramid_ratio", DEFAULT_RATIO))
+    return SynthSettings(**_set_keys(cfg, _SYNTH_KEYS))
 
 
 def extract_params_from_config(cfg):
-    return dict(
-        n_jitter=get_int(cfg, "n_jitter", 2),
-        jitter_frac=get_float(cfg, "jitter_frac", 0.15),
-        bg_ratio=get_float(cfg, "bg_ratio", 3.0),
-        flip=get_bool(cfg, "flip", False),
-    )
+    """Keyword arguments for extract_samples."""
+    return _set_keys(cfg, _EXTRACT_KEYS)
 
 
-def detect_params_from_config(cfg):
+def detect_settings_from_config(cfg):
+    """Keyword arguments for detect_image: window grid and refinement."""
     return dict(
-        score_thresh=get_float(cfg, "score_thresh", 0.5),
-        bandwidth_frac=get_float(cfg, "bandwidth_frac", 0.3),
-        nms_iou=get_float(cfg, "nms_iou", 0.7),
+        stride_frac=get_float(cfg, "stride_frac", DEFAULT_STRIDE_FRAC),
+        ratio=get_float(cfg, "pyramid_ratio", DEFAULT_RATIO),
+        score_thresh=get_float(cfg, "score_thresh", DETECT_SCORE_THRESH),
+        bandwidth_frac=get_float(cfg, "bandwidth_frac", MEAN_SHIFT_BANDWIDTH),
+        nms_iou=get_float(cfg, "nms_iou", DETECT_NMS_IOU),
     )

@@ -25,8 +25,8 @@ from .windows import (
     RS_LO,
     CameraModel,
     SceneRanges,
-    Window,
     build_pyramid,
+    corner_window,
     crop_window,
 )
 
@@ -222,9 +222,7 @@ def _window_at(level, level_id, cx_l, cy_l, ws):
     lh, lw = level.image.shape[:2]
     x0 = int(np.clip(round(cx_l - ws / 2), 0, lw - ws))
     y0 = int(np.clip(round(cy_l - ws / 2), 0, lh - ws))
-    return Window(x2d=(x0 + ws / 2) * level.scale,
-                  y2d=(y0 + ws / 2) * level.scale,
-                  d2d=ws * level.scale, level=level_id)
+    return corner_window(level, level_id, x0, y0, ws)
 
 
 def _band_level(levels, side, ws):
@@ -292,8 +290,7 @@ def extract_samples(manifest: DatasetManifest, src_dir, *, ws=DEFAULT_WS,
                 wbox = (x0 * s, y0 * s, (x0 + ws) * s, (y0 + ws) * s)
                 if any(_intersects(wbox, b) for b in gt_boxes):
                     continue
-                win = Window(x2d=(x0 + ws / 2) * s, y2d=(y0 + ws / 2) * s,
-                             d2d=ws * s, level=k)
+                win = corner_window(level, k, x0, y0, ws)
                 add(np.ascontiguousarray(crop_window(win, levels, ws)),
                     np.zeros(4), 0)
                 break

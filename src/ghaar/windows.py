@@ -128,14 +128,9 @@ def sliding_windows(level: PyramidLevel, level_id: int, ws=DEFAULT_WS,
     if min(h, w) < ws:
         return []
     step = int(round(stride_frac * ws))
-    scale = level.scale
-    out = []
-    for y in _axis_positions(h, ws, step):
-        for x in _axis_positions(w, ws, step):
-            out.append(Window(x2d=(x + ws / 2) * scale,
-                              y2d=(y + ws / 2) * scale,
-                              d2d=ws * scale, level=level_id))
-    return out
+    xs = _axis_positions(w, ws, step)
+    return [corner_window(level, level_id, x, y, ws)
+            for y in _axis_positions(h, ws, step) for x in xs]
 
 
 def implied_3d(window: Window, cam: CameraModel, d3d: float):
@@ -179,6 +174,14 @@ def final_windows(image, cam=None, ranges=None, ws=DEFAULT_WS,
     if cam is not None and ranges is not None:
         wins = perspective_filter(wins, cam, ranges)
     return wins, levels
+
+
+def corner_window(level: PyramidLevel, level_id: int, x, y, ws=DEFAULT_WS):
+    """The window whose ws x ws block on its level has top-left pixel
+    (x, y); crop_window is the inverse."""
+    s = level.scale
+    return Window(x2d=(x + ws / 2) * s, y2d=(y + ws / 2) * s, d2d=ws * s,
+                  level=level_id)
 
 
 def crop_window(win: Window, levels, ws=DEFAULT_WS):

@@ -4,10 +4,14 @@ import os
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ghaar import cli
 from ghaar import compressed as cm
+from ghaar import config as cf
+from ghaar import pipeline as pl
+from ghaar import windows as wd
 
 SMALL_CONFIG = """
 # camera and scene
@@ -123,6 +127,38 @@ def test_bench_reports(workspace, capsys):
     for line in text.splitlines():
         if line.startswith("per_step_multiplies"):
             assert line.split()[-1] == "1"
+
+
+def test_bench_agrees_with_detect_image(workspace, capsys):
+    assert cli.main(["bench", "--config", str(workspace["cfg"]),
+                     "--model", str(workspace["model"]), "--seed", "5"]) == 0
+    report = dict(line.split(" ", 1)
+                  for line in capsys.readouterr().out.splitlines())
+    # the same frame, detected directly
+    cfg = cf.parse_config_text(SMALL_CONFIG)
+    image = np.random.default_rng(5).integers(
+        0, 256, size=(cf.get_int(cfg, "image_h"), cf.get_int(cfg, "image_w"),
+                      3), dtype=np.uint8)
+    model = cm.decode_model(workspace["model"].read_bytes())
+    grid = dict(stride_frac=cf.get_float(cfg, "stride_frac"),
+                ratio=cf.get_float(cfg, "pyramid_ratio"))
+    counter, diag = cm.OpCounter(), {}
+    pl.detect_image(model, image, cf.camera_from_config(cfg),
+                    cf.ranges_from_config(cfg), counter=counter,
+                    diagnostics=diag, **grid)
+    assert int(report["filtered_windows"]) == diag["windows"] > 0
+    assert int(report["fast_multiplies"]) == counter.multiplies
+    sliding, _ = wd.final_windows(image, ws=model.spec.input_size, **grid)
+    assert int(report["sliding_windows"]) == len(sliding)
+
+
+def test_eval_malformed_bands_is_config_error(workspace, tmp_path, capsys):
+    cfg = tmp_path / "bands.cfg"
+    cfg.write_text(SMALL_CONFIG + "bands = 1 x 9\n")
+    assert cli.main(["eval", "--config", str(cfg),
+                     "--model", str(workspace["model"]),
+                     "--data", str(workspace["data"])]) == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_exit_code_config_error(tmp_path):

@@ -1,9 +1,16 @@
 """Key-value config parsing and typed builders."""
 
+import dataclasses
+import inspect
+from pathlib import Path
+
 import pytest
 
 from ghaar.errors import ConfigError
 from ghaar import config as cf
+from ghaar import pipeline as pl
+from ghaar.synth import SynthSettings
+from ghaar.training import TrainConfig
 
 
 def test_parse_text_basics():
@@ -85,7 +92,41 @@ def test_synth_and_detect_builders():
         "score_thresh = 0.6\nbg_ratio = 2.0\nflip = true\n")
     st = cf.synth_settings_from_config(cfg)
     assert st.n_images == 3 and st.image_w == 100 and st.ws == 24
-    assert cf.window_params_from_config(cfg) == (24, 0.3, 1.4)
-    assert cf.detect_params_from_config(cfg)["score_thresh"] == 0.6
+    ds = cf.detect_settings_from_config(cfg)
+    assert (st.ws, ds["stride_frac"], ds["ratio"]) == (24, 0.3, 1.4)
+    assert ds["score_thresh"] == 0.6
     ex = cf.extract_params_from_config(cfg)
     assert ex["bg_ratio"] == 2.0 and ex["flip"] is True
+
+
+def test_unset_keys_keep_the_library_defaults():
+    assert cf.train_config_from_config({}) == TrainConfig()
+    assert cf.synth_settings_from_config({}) == SynthSettings()
+    assert cf.extract_params_from_config({}) == {}
+    settings = cf.detect_settings_from_config({})
+    params = inspect.signature(pl.detect_image).parameters
+    assert settings == {k: params[k].default for k in settings}
+
+
+def test_partial_loss_weights_keep_the_other_default():
+    tc = cf.train_config_from_config({"loss_w_cla": "2.5"})
+    assert tc.loss_weights == (TrainConfig.loss_weights[0], 2.5)
+
+
+def test_readme_config_train_fields():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Write a config", 1)[1].split("```")[1]
+    tc = cf.train_config_from_config(cf.parse_config_text(block))
+    assert dataclasses.asdict(tc) == {
+        "epochs": 10, "phase_a_epochs": 5, "lr": 0.1, "lr_decay": 0.5,
+        "decay_every": 10, "batch_size": 64, "phi": 0.1, "q": 8, "nr": 32,
+        "m": 3, "loss_weights": (1.0, 1.0), "seed": 0, "constrain": True,
+        "window": 32, "in_channels": 3, "classes": 3,
+        "trunk_widths": (6, 12, 12, 12), "head_widths": (12, 12),
+        "bottleneck": 8}
+
+
+def test_float_tuple_getter():
+    assert cf.get_float_tuple({"b": "1 5.5 9"}, "b") == (1.0, 5.5, 9.0)
+    with pytest.raises(ConfigError, match="list of numbers"):
+        cf.get_float_tuple({"b": "1 x 9"}, "b")
