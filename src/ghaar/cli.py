@@ -119,6 +119,8 @@ def cmd_eval(args):
     kw = {}
     if "bands" in cfg and cam is not None:
         edges = cf.get_float_tuple(cfg, "bands")
+        if len(edges) < 2:
+            raise ConfigError(f"bands needs at least two edges, got {len(edges)}")
         kw = dict(cam=cam, d3d=ranges.d3d,
                   band_edges=list(zip(edges, edges[1:])))
     dets_by = {}
@@ -254,10 +256,13 @@ def build_parser():
         description="Sign-pattern-constrained detector toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=False, model=False, out=False):
-        p.add_argument("-c", "--config", required=config,
-                       help="key=value configuration file")
-        p.add_argument("--seed", type=int, default=0)
+    # only the flags a command reads: None omits config/out, True requires it
+    def common(p, config=None, model=False, out=None, seed=True):
+        if config is not None:
+            p.add_argument("-c", "--config", required=config,
+                           help="key=value configuration file")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         if model:
             p.add_argument("-m", "--model", required=True, help="model file")
         if out is not None:
@@ -274,12 +279,12 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a model against a dataset")
-    common(p, config=True, model=True)
+    common(p, config=True, model=True, out=False)
     p.add_argument("--data", required=True, help="dataset directory")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("detect", help="run detection on images")
-    common(p, model=True, out=True)
+    common(p, config=False, model=True, out=True, seed=False)
     p.add_argument("images", nargs="+", help="PPM images")
     p.add_argument("--annotate", action="store_true",
                    help="also write annotated PPMs")
@@ -290,7 +295,7 @@ def build_parser():
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("inspect-model", help="print model layout and storage")
-    common(p, model=True)
+    common(p, model=True, seed=False)
     p.set_defaults(func=cmd_inspect_model)
     return parser
 

@@ -35,7 +35,8 @@ from . import nn_core as nn
 
 MAGIC = b"GHNW"
 VERSION = 1
-RECORD_SIZE = 5          # 1-byte pattern ref + 4-byte factor
+RECORD = np.dtype([("ref", "u1"), ("fac", "<f4")])   # one constrained kernel
+RECORD_SIZE = RECORD.itemsize                          # 5 bytes
 DENSE_KERNEL_BYTES = 36  # 4 * 3 * 3, the uncompressed float32 cost
 
 
@@ -79,7 +80,7 @@ class OpCounter:
 
 @dataclass
 class CompressedModel:
-    """Decoded (or freshly quantized) deployable model.
+    """Decoded deployable model (compress decodes what it would store).
 
     params holds dense float64 kernels rebuilt from the stored form, so the
     dense engine can run the same network as an oracle; constrained layers
@@ -169,9 +170,9 @@ def expected_size(spec: nn.NetworkSpec, nr: int) -> int:
 
 
 def _stored(values, layer, what):
-    """values rounded to the float32 the file carries; must stay finite."""
+    """values as the float32 the file carries; each must stay finite."""
     with np.errstate(over="ignore"):
-        out = values.astype(np.float32).astype(np.float64)
+        out = values.astype("<f4")
     if not np.isfinite(out).all():
         raise ConfigError(f"layer {layer.name}: non-finite {what} "
                           "cannot be stored as float32")
@@ -179,41 +180,31 @@ def _stored(values, layer, what):
 
 
 def compress(params: nn.ModelParams, space) -> CompressedModel:
-    """Quantize trained parameters to their stored precision.
+    """The deployable model: trained parameters at their stored precision.
 
-    Factors, biases and 1x1 kernels are rounded to float32; constrained
-    kernels are rebuilt from the rounded factor so the dense oracle and the
-    fast path see the same numbers the file will carry.  A value that is
-    not finite after rounding raises ConfigError.
+    It is what encode_model writes for params and space, decoded back:
+    factors, biases and 1x1 kernels are rounded to float32 and constrained
+    kernels rebuilt from the rounded factor, so the dense oracle and the
+    fast path see the numbers the file carries.  No training accumulator
+    ships, and params is left untouched.  Raises ConfigError, as
+    encode_model does, on what the file cannot hold.
     """
-    if len(space) > 256:
-        raise ConfigError(f"pattern table holds at most 256 entries, got {len(space)}")
-    out = params.copy()
-    for layer, _ in params.spec.conv_layers():
-        lp = out.layers[layer.name]
-        if layer.constrained:
-            if lp.filter_idx is None:
-                raise ConfigError(
-                    f"layer {layer.name} has no pattern assignment; "
-                    "train with the constraint before compressing")
-            if lp.filter_idx.min() < 0 or lp.filter_idx.max() >= len(space):
-                raise ConfigError(f"layer {layer.name} references patterns "
-                                  "outside the table")
-            o, c, k, _ = lp.kernels.shape
-            lp.factors = _stored(lp.factors, layer, "factors")
-            sel = space.signs[lp.filter_idx.reshape(-1)]
-            lp.kernels = (lp.factors.reshape(-1, 1) * sel).reshape(o, c, k, k)
-        else:
-            lp.kernels = _stored(lp.kernels, layer, "kernels")
-        lp.bias = _stored(lp.bias, layer, "bias")
-    return CompressedModel(params.spec, space, out, spec_digest(params.spec))
+    return decode_model(_encode(params.spec, space, params))
 
 
 def encode_model(model) -> bytes:
-    """Serialize a CompressedModel (or quantize ModelParams + space first)."""
-    spec = model.spec
-    space = model.space
-    params = model.params
+    """Serialize a CompressedModel.
+
+    Raises ConfigError on a pattern table over 256 entries (a record's
+    reference is one byte), a constrained layer without an assignment or
+    with a reference outside the table, or a value not finite in float32.
+    """
+    return _encode(model.spec, model.space, model.params)
+
+
+def _encode(spec, space, params) -> bytes:
+    if len(space) > 256:
+        raise ConfigError(f"pattern table holds at most 256 entries, got {len(space)}")
     blob = serialize_spec(spec)
     out = bytearray()
     out += MAGIC
@@ -227,13 +218,21 @@ def encode_model(model) -> bytes:
     for layer, _ in spec.conv_layers():
         lp = params.layers[layer.name]
         if layer.constrained:
-            refs = lp.filter_idx.reshape(-1)
-            facs = lp.factors.reshape(-1)
-            for ref, fac in zip(refs, facs):
-                out += struct.pack("<Bf", int(ref), float(fac))
+            refs = lp.filter_idx
+            if refs is None:
+                raise ConfigError(
+                    f"layer {layer.name} has no pattern assignment; "
+                    "train with the constraint before compressing")
+            if refs.min() < 0 or refs.max() >= len(space):
+                raise ConfigError(f"layer {layer.name} references patterns "
+                                  "outside the table")
+            recs = np.empty(refs.shape, dtype=RECORD)
+            recs["ref"] = refs
+            recs["fac"] = _stored(lp.factors, layer, "factors")
+            out += recs.tobytes()
         else:
-            out += lp.kernels.astype("<f4").tobytes()
-        out += lp.bias.astype("<f4").tobytes()
+            out += _stored(lp.kernels, layer, "kernels").tobytes()
+        out += _stored(lp.bias, layer, "bias").tobytes()
     return bytes(out)
 
 
@@ -311,7 +310,7 @@ def decode_model(data: bytes) -> CompressedModel:
                     f"pattern side {m}", offset=cur.pos)
             rec_off = cur.pos
             raw = cur.take(RECORD_SIZE * o * c, f"{layer.name} records")
-            recs = np.frombuffer(raw, dtype=np.dtype([("ref", "u1"), ("fac", "<f4")]))
+            recs = np.frombuffer(raw, dtype=RECORD).reshape(o, c)
             refs = recs["ref"].astype(np.int64)
             if refs.max() >= nr:
                 bad = int(np.argmax(refs >= nr))
@@ -320,10 +319,7 @@ def decode_model(data: bytes) -> CompressedModel:
                     offset=rec_off + bad * RECORD_SIZE)
             facs = _finite(recs["fac"].astype(np.float64), rec_off + 1,
                            RECORD_SIZE, f"{layer.name} factors")
-            lp = nn.LayerParams(
-                kernels=(facs[:, None] * space.signs[refs]).reshape(o, c, k, k),
-                bias=None, filter_idx=refs.reshape(o, c),
-                factors=facs.reshape(o, c))
+            lp = nn.LayerParams(space.kernels(refs, facs), None, refs, facs)
         else:
             lp = nn.LayerParams(
                 kernels=cur.floats(o * c * k * k, f"{layer.name} kernels")

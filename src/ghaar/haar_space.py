@@ -109,6 +109,11 @@ class FilterSpace:
     def patterns(self):
         return [self[i] for i in range(len(self))]
 
+    def kernels(self, rows, factors):
+        """Dense kernels factor * pattern, shaped rows.shape + (m, m)."""
+        flat = np.reshape(factors, (-1, 1)) * self.signs[np.reshape(rows, -1)]
+        return flat.reshape(np.shape(rows) + (self.m, self.m))
+
     def row_of(self, canonical_index: int) -> int:
         """Table row holding a canonical index; raises if not in the table."""
         hits = np.nonzero(self.indices == canonical_index)[0]

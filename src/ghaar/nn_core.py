@@ -119,9 +119,8 @@ class LayerParams:
     bias: np.ndarray                 # (O,) float64
     filter_idx: np.ndarray = None    # (O, C) int64, constrained layers only
     factors: np.ndarray = None       # (O, C) float64, constrained layers only
-    shadow: np.ndarray = None        # (O, C, k, k) full-precision accumulator
-                                     # kept by constrained training; never
-                                     # serialized, never used by forward
+    shadow: np.ndarray = None        # (O, C, k, k) training accumulator, set
+                                     # by constrain_params; never shipped
 
     def copy(self):
         return LayerParams(
@@ -284,18 +283,6 @@ def softmax(logits):
     return p[0] if single else p
 
 
-def walk(spec: NetworkSpec, x, step):
-    """Apply step(layer, x) -> x over the trunk, then over each head from
-    the trunk's output.  Returns (loc, cla)."""
-    def run(seq, x):
-        for layer in seq:
-            x = step(layer, x)
-        return x
-
-    trunk = run(spec.shared_trunk, x)
-    return run(spec.loc_head, trunk), run(spec.cla_head, trunk)
-
-
 def run_network(spec: NetworkSpec, x, conv, record=None):
     """Run the two-headed network with a given conv implementation.
 
@@ -341,8 +328,15 @@ def run_network(spec: NetworkSpec, x, conv, record=None):
             record((layer, x.shape, out if layer.kind == "conv" else None, aux))
         return out
 
+    def run(seq, x):
+        for layer in seq:
+            x = step(layer, x)
+        return x
+
+    trunk = run(spec.shared_trunk, x.transpose(1, 0, 2, 3))
     loc, probs = (y.transpose(1, 0, 2, 3) if y.ndim == 4 else y
-                  for y in walk(spec, x.transpose(1, 0, 2, 3), step))
+                  for y in (run(spec.loc_head, trunk),
+                            run(spec.cla_head, trunk)))
     return (loc[0], probs[0]) if squeeze else (loc, probs)
 
 

@@ -198,8 +198,8 @@ def detect_image(model, image, cam=None, ranges=None, *,
     degenerate = 0
     for lo in range(0, len(wins), batch_size):
         batch = wins[lo:lo + batch_size]
-        x = np.stack([normalize_image(crop_window(w, levels, ws))
-                      for w in batch])
+        x = normalize_image(np.stack([crop_window(w, levels, ws)
+                                      for w in batch]))
         loc, probs = forward_fast(model, x, counter=counter)
         labels = probs.argmax(axis=1)
         scores = probs.max(axis=1)
@@ -276,8 +276,9 @@ def evaluate(dets_by_image, gts_by_image, iou_thresh=EVAL_IOU, *,
     """Detection-level scoring at the given IoU threshold.
 
     Both arguments map image keys to lists; the key sets must agree.  With
-    cam, d3d, and band_edges (list of (z_lo, z_hi)), precision/recall are
-    additionally bucketed by the distance each box size implies.
+    cam, d3d, and band_edges (list of (z_lo, z_hi), finite with z_lo < z_hi,
+    else ConfigError), precision/recall are additionally bucketed by the
+    distance each box size implies.
     """
     if set(dets_by_image) != set(gts_by_image):
         raise DataError("detections and ground truths reference "
@@ -303,6 +304,9 @@ def evaluate(dets_by_image, gts_by_image, iou_thresh=EVAL_IOU, *,
             raise ConfigError("distance bands require cam and d3d")
         rows = []
         for z_lo, z_hi in band_edges:
+            if not (z_lo < z_hi and np.isfinite([z_lo, z_hi]).all()):
+                raise ConfigError(f"distance band {z_lo}..{z_hi} is not "
+                                  "finite and increasing")
             def hit(box):
                 return z_lo <= _implied_z(box, cam, d3d) < z_hi
             tp_b = sum(hit(g.box) for _, g in pairs)

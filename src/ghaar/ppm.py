@@ -110,11 +110,12 @@ def bilinear_resize(image, out_h, out_w):
 
 
 def normalize_image(image):
-    """uint8 (H, W, 3) -> float64 (3, H, W) network input in [-0.5, 0.5]."""
+    """uint8 (..., H, W, 3) -> float64 (..., 3, H, W) network input in
+    [-0.5, 0.5]; a stack converts bitwise equal to its images one by one."""
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise DataError(f"expected (H, W, 3) image, got shape {img.shape}")
-    return img.transpose(2, 0, 1) / 255.0 - 0.5
+    if img.ndim < 3 or img.shape[-1] != 3:
+        raise DataError(f"expected (..., H, W, 3) images, got shape {img.shape}")
+    return np.moveaxis(img, -1, -3) / 255.0 - 0.5
 
 
 def draw_box(image, box, color, thickness=1):

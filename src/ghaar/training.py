@@ -7,6 +7,9 @@ forward/backward through the projected kernels, applies the gradients
 straight through to the accumulators (plus the smooth-min pull toward the
 pattern space, evaluated at the accumulator), then re-projects each
 accumulator onto its nearest pattern to refresh the (pattern, factor) form.
+constrain_params is the single writer of that form (the shadow accumulator,
+filter_idx, factors and kernels): a constrained step requires it to have
+seeded every constrained layer, and nothing downstream rebuilds the form.
 Projecting the accumulator instead of the projected weight itself is what
 lets gradient components orthogonal to the current pattern accumulate until
 they flip it; re-projecting the projected weight discards them and training
@@ -41,7 +44,7 @@ class TrainConfig:
     loss_weights: tuple = (1.0, 1.0)   # (localization, classification)
     seed: int = 0
     constrain: bool = True       # project after every step
-    window: int = 48
+    window: int = nn.DEFAULT_WINDOW
     in_channels: int = 3
     classes: int = 3
     trunk_widths: tuple = nn.DEFAULT_TRUNK
@@ -135,24 +138,12 @@ def constrain_params(params, space):
         lp = params.layers[name]
         if lp.shadow is None:
             lp.shadow = lp.kernels.copy()
-        o, c, k, _ = lp.shadow.shape
+        o, c = lp.shadow.shape[:2]
         flat = lp.shadow.reshape(o * c, mm)
         rows, scales, _ = hs.project_batch(flat, space)
         lp.filter_idx = rows.reshape(o, c)
         lp.factors = scales.reshape(o, c)
-        lp.kernels = (scales[:, None] * space.signs[rows]).reshape(o, c, k, k)
-    return params
-
-
-def reconstruct_params(params, space):
-    """Rebuild dense kernels as pattern * factor for constrained layers."""
-    for name in constrained_layer_names(params.spec):
-        lp = params.layers[name]
-        o, c, k, _ = lp.kernels.shape
-        if lp.filter_idx is None:
-            raise TrainingError(f"layer {name} has no pattern assignment yet")
-        sel = space.signs[lp.filter_idx.reshape(-1)]
-        lp.kernels = (lp.factors.reshape(-1, 1) * sel).reshape(o, c, k, k)
+        lp.kernels = space.kernels(lp.filter_idx, lp.factors)
     return params
 
 
@@ -185,16 +176,17 @@ def cla_loss(probs, labels):
 def train_step(params, x, loc_target, labels, space, cfg: TrainConfig, lr: float):
     """One constrained SGD step over a batch.
 
-    Returns a dict with the batch losses.  Raises TrainingError when the
-    loss or a gradient goes non-finite; both checks run before any weight
-    is updated.
+    With cfg.constrain, constrain_params, the single writer of the pattern
+    form, must have seeded every constrained layer, else TrainingError
+    before any work.  Returns a dict with the batch losses.  Raises
+    TrainingError when the loss or a gradient goes non-finite; both checks
+    run before any weight is updated.
     """
     if cfg.constrain:
-        reconstruct_params(params, space)
         for name in constrained_layer_names(params.spec):
-            lp = params.layers[name]
-            if lp.shadow is None:
-                lp.shadow = lp.kernels.copy()
+            if params.layers[name].shadow is None:
+                raise TrainingError(f"layer {name} has no pattern assignment "
+                                    "yet; run constrain_params first")
     loc, probs, cache = nn.forward(params, x)
     mask = np.asarray(labels) != 0
     lv, lg = loc_loss(loc, loc_target, mask)
@@ -282,7 +274,7 @@ def _as_batch(x, idx):
     """
     sel = x[idx]
     if sel.dtype == np.uint8:
-        return np.stack([normalize_image(p) for p in sel])
+        return normalize_image(sel)
     return np.asarray(sel, dtype=np.float64)
 
 
@@ -300,8 +292,9 @@ def _run_phase(params, space, data, cfg, rng, epochs, epoch_offset, rows, val,
             for k in sums:
                 sums[k] += info[k]
             nb += 1
-        row = {"epoch": epoch_offset + ep, "phase": "A" if space_is_full(space) else "B",
-               "lr": lr, "space": len(space)}
+        phase = "A" if len(space) == hs.space_size(space.m) else "B"
+        row = {"epoch": epoch_offset + ep, "phase": phase, "lr": lr,
+               "space": len(space)}
         row.update({k: v / nb for k, v in sums.items()})
         row["mean_residual"] = mean_nearest_residual(params, space)
         if val is not None:
@@ -310,10 +303,6 @@ def _run_phase(params, space, data, cfg, rng, epochs, epoch_offset, rows, val,
         if progress is not None:
             progress(row)
     return params
-
-
-def space_is_full(space):
-    return len(space) == hs.space_size(space.m)
 
 
 def evaluate_windows(params, x, loc_t, labels, batch_size=256):
@@ -346,9 +335,7 @@ def fit(x, loc_target, labels, cfg: TrainConfig, val=None, progress=None):
     With cfg.constrain False there is one unconstrained phase and the
     returned space is the full one.
     """
-    x = np.asarray(x)
-    if x.dtype != np.uint8:
-        x = x.astype(np.float64, copy=False)
+    x = np.asarray(x)      # _as_batch converts each batch to network input
     loc_target = np.asarray(loc_target, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if x.shape[0] != loc_target.shape[0] or x.shape[0] != labels.shape[0]:

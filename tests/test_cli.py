@@ -161,6 +161,39 @@ def test_eval_malformed_bands_is_config_error(workspace, tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edges", ["9 1", "nan 4", "4 inf", "5"])
+def test_eval_bands_out_of_order_non_finite_or_single_is_config_error(
+        workspace, tmp_path, capsys, edges):
+    cfg = tmp_path / "bands.cfg"
+    cfg.write_text(SMALL_CONFIG + f"bands = {edges}\n")
+    assert cli.main(["eval", "--config", str(cfg),
+                     "--model", str(workspace["model"]),
+                     "--data", str(workspace["data"])]) == 2
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err
+    assert "band " not in captured.out
+
+
+def test_subcommands_take_only_the_flags_they_read(workspace, capsys):
+    model, cfg = str(workspace["model"]), str(workspace["cfg"])
+    ignored = str(workspace["root"] / "ignored")
+    for argv in (["inspect-model", "-m", model, "-o", ignored],
+                 ["inspect-model", "-m", model, "-c", cfg],
+                 ["inspect-model", "-m", model, "--seed", "1"],
+                 ["bench", "-c", cfg, "-m", model, "-o", ignored],
+                 ["detect", "-m", model, "-o", ignored, "--seed", "1", "x.ppm"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert "--config" in usage and "--seed" in usage
+    assert "-o" not in usage.split() and "--out" not in usage
+
+
 def test_exit_code_config_error(tmp_path):
     assert cli.main(["gen-data", "--config", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path / "d")]) == 2

@@ -1,5 +1,6 @@
 """Codec round trips, fast-path fidelity, and operation accounting."""
 
+import dataclasses
 import functools
 import struct
 
@@ -115,6 +116,66 @@ def test_encode_decode_round_trip_bitwise():
             assert np.array_equal(lp.filter_idx, blp.filter_idx)
             assert np.array_equal(lp.factors, blp.factors)
     assert cm.encode_model(back) == data
+
+
+def test_records_match_an_independent_struct_layout():
+    # encode and decode share one record dtype; this is the layout's oracle
+    params, space = trained_like_params(seed=3)
+    model = cm.compress(params, space)
+    data = cm.encode_model(model)
+    spec = model.spec
+    off = (len(cm.MAGIC) + 1 + 16 + 4 + len(cm.serialize_spec(spec))
+           + 1 + 2 + 4 * len(space))
+    checked = 0
+    for layer, _ in spec.conv_layers():
+        lp = model.params.layers[layer.name]
+        o, c, k = layer.out_channels, layer.in_channels, layer.kernel_size
+        if layer.constrained:
+            for ref, fac in zip(lp.filter_idx.reshape(-1),
+                                lp.factors.reshape(-1)):
+                assert data[off:off + 5] == struct.pack("<Bf", int(ref),
+                                                        float(fac))
+                off += 5
+                checked += 1
+        else:
+            off += 4 * o * c * k * k
+        off += 4 * o
+    assert off == len(data) and checked > 0
+
+
+@pytest.mark.parametrize("layer, field, value", [
+    ("conv2", "filter_idx", None),          # one past the pattern table
+    ("conv2", "factors", 1e300),            # overflows float32
+    ("conv2", "bias", 1e300),
+    ("cla_out", "kernels", 1e300)])
+def test_encode_refuses_what_the_file_cannot_hold(layer, field, value):
+    model = cm.compress(*trained_like_params(seed=4))
+    array = getattr(model.params.layers[layer], field)
+    array.flat[0] = len(model.space) if value is None else value
+    with pytest.raises(ConfigError, match=layer):
+        cm.encode_model(model)
+
+
+def test_encode_refuses_a_table_one_byte_cannot_index():
+    model = cm.compress(*trained_like_params(seed=4))
+    big = dataclasses.replace(model, space=hs.enumerate_space(4))
+    with pytest.raises(ConfigError, match="256 entries"):
+        cm.encode_model(big)
+
+
+def test_compress_ships_no_accumulators_and_leaves_params_alone():
+    params, space = trained_like_params(seed=5)
+    before = params.copy()
+    model = cm.compress(params, space)
+    for name, lp in params.items():
+        was = before.layers[name]
+        assert model.params.layers[name].shadow is None, name
+        assert np.array_equal(lp.kernels, was.kernels), name
+        assert np.array_equal(lp.bias, was.bias), name
+        if lp.filter_idx is not None:
+            assert np.array_equal(lp.shadow, was.shadow), name
+            assert np.array_equal(lp.factors, was.factors), name
+            assert np.array_equal(lp.filter_idx, was.filter_idx), name
 
 
 def test_decode_rejects_corruption():

@@ -91,6 +91,14 @@ def test_normalize_image():
     assert np.allclose(x[1], 0.5)
     with pytest.raises(DataError):
         ppm.normalize_image(np.zeros((2, 2)))
+    # a stack converts in one call, bitwise equal to one call per image
+    stack = np.random.default_rng(0).integers(0, 256, size=(4, 5, 6, 3),
+                                              dtype=np.uint8)
+    xs = ppm.normalize_image(stack)
+    assert xs.shape == (4, 3, 5, 6)
+    assert np.array_equal(xs, np.stack([ppm.normalize_image(im) for im in stack]))
+    with pytest.raises(DataError):
+        ppm.normalize_image(np.zeros((4, 5, 6, 4), dtype=np.uint8))
 
 
 def test_draw_box_outline():

@@ -195,10 +195,51 @@ def test_non_finite_raises_training_error():
     spec = cfg.network_spec()
     space = hs.enumerate_space(3)
     params = tr.constrain_params(nn.init_params(spec, seed=1), space)
-    params.layers["conv1"].factors[0, 0] = np.nan
+    params.layers["conv1"].kernels[0, 0, 0, 0] = np.nan
     x, loc_t, labels = toy_data(4, seed=1)
     with pytest.raises(TrainingError):
         tr.train_step(params, x, loc_t, labels, space, cfg, lr=0.01)
+
+
+def test_non_finite_loss_stops_the_step_before_backward():
+    # the loss check itself, not the gradient check behind it, must fire
+    cfg = small_cfg(phi=0.0)
+    space = hs.enumerate_space(3)
+    params = tr.constrain_params(
+        nn.init_params(cfg.network_spec(), seed=1), space)
+    params.layers["conv1"].kernels[0, 0, 0, 0] = np.nan
+    before = params.copy()
+    x, loc_t, labels = toy_data(4, seed=1)
+    with pytest.raises(TrainingError, match="non-finite loss"):
+        tr.train_step(params, x, loc_t, labels, space, cfg, lr=0.01)
+    for name, lp in params.items():
+        assert np.array_equal(lp.bias, before.layers[name].bias), name
+        assert np.array_equal(lp.kernels, before.layers[name].kernels,
+                              equal_nan=True), name
+
+
+def test_unseeded_constrained_step_raises_before_any_work():
+    # constrain_params is the only writer of the pattern form; a step never
+    # seeds or rebuilds it, whether no layer or just one lacks it
+    cfg = small_cfg()
+    space = hs.enumerate_space(3)
+    x, loc_t, labels = toy_data(4, seed=1)
+    unseeded = nn.init_params(cfg.network_spec(), seed=1)
+    partly = tr.constrain_params(nn.init_params(cfg.network_spec(), seed=1),
+                                 space)
+    partly.layers["conv2"].shadow = None
+    for params in (unseeded, partly):
+        before = params.copy()
+        with pytest.raises(TrainingError, match="no pattern assignment"):
+            tr.train_step(params, x, loc_t, labels, space, cfg, lr=0.01)
+        for name, lp in params.items():
+            was = before.layers[name]
+            assert np.array_equal(lp.kernels, was.kernels), name
+            assert np.array_equal(lp.bias, was.bias), name
+            for key in ("filter_idx", "factors", "shadow"):
+                a, b = getattr(lp, key), getattr(was, key)
+                assert (a is None) == (b is None), (name, key)
+                assert a is None or np.array_equal(a, b), (name, key)
 
 
 def test_diverging_fit_raises_on_first_failing_step(monkeypatch):
