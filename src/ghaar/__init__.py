@@ -34,7 +34,6 @@ from .compressed import (
     encode_model,
     forward_dense,
     forward_fast,
-    infer,
     storage_report,
 )
 from .windows import (

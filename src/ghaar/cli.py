@@ -43,12 +43,6 @@ def _save_model(model, path):
     return len(blob)
 
 
-def _geometry(cfg):
-    if cf.has_geometry(cfg):
-        return cf.camera_from_config(cfg), cf.ranges_from_config(cfg)
-    return None, None
-
-
 def cmd_gen_data(args):
     cfg = cf.parse_config(args.config)
     cam = cf.camera_from_config(cfg)
@@ -112,17 +106,17 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg = cf.parse_config(args.config)
-    model = _load_model(args.model)
-    manifest = sy.load_manifest(args.data)
-    cam, ranges = _geometry(cfg)
+    cam, ranges = cf.geometry_from_config(cfg)
     settings = cf.detect_settings_from_config(cfg)
     kw = {}
-    if "bands" in cfg and cam is not None:
-        edges = cf.get_float_tuple(cfg, "bands")
-        if len(edges) < 2:
-            raise ConfigError(f"bands needs at least two edges, got {len(edges)}")
+    if "bands" in cfg:
+        if cam is None:
+            raise ConfigError("bands needs the camera and range keys")
+        edges = pl.check_band_edges(cf.get_float_tuple(cfg, "bands"))
         kw = dict(cam=cam, d3d=ranges.d3d,
                   band_edges=list(zip(edges, edges[1:])))
+    model = _load_model(args.model)
+    manifest = sy.load_manifest(args.data)
     dets_by = {}
     for name, _ in manifest.entries:
         image = ppm.read_ppm(os.path.join(args.data, name))
@@ -160,7 +154,7 @@ def cmd_eval(args):
 def cmd_detect(args):
     model = _load_model(args.model)
     cfg = cf.parse_config(args.config) if args.config else {}
-    cam, ranges = _geometry(cfg)
+    cam, ranges = cf.geometry_from_config(cfg)
     settings = cf.detect_settings_from_config(cfg)
     os.makedirs(args.out, exist_ok=True)
     for path in args.images:
@@ -194,7 +188,7 @@ def _dense_multiplies(spec, counter):
 def cmd_bench(args):
     cfg = cf.parse_config(args.config)
     model = _load_model(args.model)
-    cam, ranges = _geometry(cfg)
+    cam, ranges = cf.geometry_from_config(cfg)
     settings = cf.detect_settings_from_config(cfg)
     ws = model.spec.input_size
     h = cf.get_int(cfg, "image_h", sy.SynthSettings.image_h)

@@ -41,7 +41,7 @@ DENSE_KERNEL_BYTES = 36  # 4 * 3 * 3, the uncompressed float32 cost
 
 
 class OpCounter:
-    """Monotone tally of arithmetic per layer; reset only on request.
+    """Monotone tally of arithmetic per layer.
 
     The tallies are arithmetic counts computed from layer shapes (steps,
     and the multiplies and additions each step costs on its route), not
@@ -73,9 +73,6 @@ class OpCounter:
     def per_step_multiplies(self, layer):
         slot = self.layers[layer]
         return slot["multiplies"] / slot["steps"]
-
-    def reset(self):
-        self.layers = {}
 
 
 @dataclass
@@ -392,7 +389,7 @@ def layer_positions(spec):
         out[layer.name] = x.shape[2] * x.shape[3]
         return np.zeros((layer.out_channels, 1) + x.shape[2:]), None
 
-    size = (spec.in_channels, spec.input_size, spec.input_size)
+    size = (1, spec.in_channels, spec.input_size, spec.input_size)
     nn.run_network(spec, np.zeros(size), conv)
     return out
 
@@ -436,16 +433,6 @@ def forward_dense(model: CompressedModel, x, counter=None):
     """Dense-route oracle on the same reconstructed weights, with dense
     operation accounting."""
     return _run(model, x, counter, fast=False)
-
-
-def infer(model: CompressedModel, window, counter=None):
-    """(loc, label, score) for one window through the fast path."""
-    loc, probs = forward_fast(model, window, counter)
-    if loc.ndim != 1:
-        raise DimensionError("infer takes a single window; use forward_fast "
-                             "for batches")
-    label = int(np.argmax(probs))
-    return loc, label, float(probs[label])
 
 
 def storage_report(spec: nn.NetworkSpec, nr: int = 32):

@@ -12,6 +12,8 @@ or detect_image argument, that it sets.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .errors import ConfigError
 from .pipeline import DETECT_NMS_IOU, DETECT_SCORE_THRESH, MEAN_SHIFT_BANDWIDTH
 from .training import TrainConfig
@@ -99,8 +101,17 @@ def ranges_from_config(cfg) -> SceneRanges:
         d3d=get_float(cfg, "d3d"))
 
 
-def has_geometry(cfg) -> bool:
-    return "m11" in cfg and "x3d_min" in cfg
+_GEOMETRY_KEYS = tuple(f.name for cls in (CameraModel, SceneRanges)
+                       for f in fields(cls))
+
+
+def geometry_from_config(cfg):
+    """(camera, ranges) for perspective pruning, or (None, None) when the
+    file sets no camera or range key.  A file that sets any of them needs
+    every required one: ConfigError names the first missing key."""
+    if not any(key in cfg for key in _GEOMETRY_KEYS):
+        return None, None
+    return camera_from_config(cfg), ranges_from_config(cfg)
 
 
 def _set_keys(cfg, getters):

@@ -62,20 +62,6 @@ class SignPattern:
         object.__setattr__(self, "cells", cells)
 
 
-def index_from_cells(cells) -> int:
-    """Canonical index of a +-1 grid whose (0, 0) cell is +1."""
-    flat = np.asarray(cells).reshape(-1)
-    if flat[0] != 1:
-        raise ConfigError("cell (0, 0) must be +1 before encoding")
-    bits = (flat[1:] > 0).astype(np.int64)
-    return int((bits << np.arange(bits.size)).sum())
-
-
-def cells_from_index(m: int, index: int) -> np.ndarray:
-    """Decode a canonical index into an (m, m) int8 sign grid."""
-    return reduced_space_from_indices(m, [index])[0].cells.copy()
-
-
 @dataclass(frozen=True, eq=False)
 class FilterSpace:
     """A table of canonical sign patterns: the full space or any subset.
@@ -90,36 +76,17 @@ class FilterSpace:
     indices: np.ndarray = field(repr=False)  # (N,) int64, row -> canonical index
     signs: np.ndarray = field(repr=False)    # (N, m*m) float64, +-1 rows
 
-    @property
-    def selected(self) -> np.ndarray:
-        return self.indices
-
-    @property
-    def nr(self) -> int:
-        return int(self.indices.size)
-
     def __len__(self):
-        return self.nr
+        return int(self.indices.size)
 
     def __getitem__(self, row: int) -> SignPattern:
         cells = self.signs[row].reshape(self.m, self.m).astype(np.int8)
         return SignPattern(self.m, cells, int(self.indices[row]))
 
-    @property
-    def patterns(self):
-        return [self[i] for i in range(len(self))]
-
     def kernels(self, rows, factors):
         """Dense kernels factor * pattern, shaped rows.shape + (m, m)."""
         flat = np.reshape(factors, (-1, 1)) * self.signs[np.reshape(rows, -1)]
         return flat.reshape(np.shape(rows) + (self.m, self.m))
-
-    def row_of(self, canonical_index: int) -> int:
-        """Table row holding a canonical index; raises if not in the table."""
-        hits = np.nonzero(self.indices == canonical_index)[0]
-        if hits.size == 0:
-            raise ConfigError(f"filter {canonical_index} is not in the space")
-        return int(hits[0])
 
 
 def reduced_space_from_indices(m: int, selected) -> FilterSpace:
@@ -160,20 +127,6 @@ def _flat_kernel(w, m: int) -> np.ndarray:
     if w.shape != (m, m) and w.shape != (m * m,):
         raise DimensionError(f"kernel shape {w.shape} does not match side {m}")
     return w.reshape(-1)
-
-
-def project_scale(w, f) -> float:
-    """Least-squares scale fitting kernel w to sign pattern f.
-
-    scale = sum(w * f) / m^2, the unique minimizer of sum((w - scale*f)**2).
-    """
-    if isinstance(f, SignPattern):
-        cells, m = f.cells, f.m
-    else:
-        cells = np.asarray(f)
-        m = cells.shape[0]
-    wf = _flat_kernel(w, m)
-    return float(wf @ cells.reshape(-1).astype(np.float64) / (m * m))
 
 
 def nearest_filter(w, space) -> ProjectionResult:

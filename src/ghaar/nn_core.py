@@ -2,8 +2,8 @@
 
 Plain numpy, float64, stride-1 convolutions via im2col.  This is the
 training substrate and the reference path the compressed inference is
-checked against.  Inputs are (N, C, H, W) batches; single windows can be
-passed as (C, H, W).
+checked against.  Inputs are (N, C, H, W) batches; a single window is a
+batch of one.
 
 Inside the layer walk (run_network) activations are channel-major,
 (C, N, H, W): the im2col matrix (C*k*k, N*H*W) is built in one copy, and
@@ -138,9 +138,6 @@ class ModelParams:
     def copy(self):
         return ModelParams(self.spec, {k: v.copy() for k, v in self.layers.items()})
 
-    def items(self):
-        return self.layers.items()
-
 
 def init_params(spec: NetworkSpec, seed: int = 0) -> ModelParams:
     """He-uniform kernels (ReLU gain), zero biases, deterministic per seed."""
@@ -159,11 +156,9 @@ def init_params(spec: NetworkSpec, seed: int = 0) -> ModelParams:
 
 def _as_batch(x):
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise DimensionError(f"expected (C, H, W) or (N, C, H, W), got shape {x.shape}")
+    if x.ndim != 4:
+        raise DimensionError(f"expected an (N, C, H, W) batch, got shape {x.shape}")
+    return x
 
 
 def _im2col(x, k, pad):
@@ -185,10 +180,10 @@ def _im2col(x, k, pad):
 def conv2d_dense(x, kernels, bias=None):
     """Stride-1 cross-correlation; zero padding keeps 3x3 output same-sized.
 
-    1x1 kernels get no padding.  Returns the activation map (same batch
-    arrangement as the input).
+    x is (N, C, H, W); 1x1 kernels get no padding.  Returns the (N, O, H, W)
+    activation map.
     """
-    x, squeeze = _as_batch(x)
+    x = _as_batch(x)
     kernels = np.asarray(kernels, dtype=np.float64)
     o, c, k, k2 = kernels.shape
     if k != k2 or k % 2 == 0:
@@ -198,7 +193,7 @@ def conv2d_dense(x, kernels, bias=None):
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
     out, _ = _conv_forward(x.transpose(1, 0, 2, 3), kernels, bias)
-    return out[:, 0] if squeeze else out.transpose(1, 0, 2, 3)
+    return out.transpose(1, 0, 2, 3)
 
 
 def _conv_forward(x, kernels, bias):
@@ -212,9 +207,9 @@ def _conv_forward(x, kernels, bias):
     return out.reshape(o, x.shape[1], ho, wo), cols
 
 
-def _conv_backward(dout, cols, lp: LayerParams):
+def _conv_backward(dout, cols, lp: LayerParams, want_dx):
     """Sample-major dout (N, O, H, W) and the forward's channel-major
-    columns -> (dx, dw, db), dx sample-major."""
+    columns -> (dx, dw, db); dx is sample-major, or None unless want_dx."""
     n, o = dout.shape[:2]
     dflat = dout.reshape(n, o, -1)
     # einsum's summation order follows its operands' memory layout; it is
@@ -223,19 +218,10 @@ def _conv_backward(dout, cols, lp: LayerParams):
         cols.reshape(cols.shape[0], n, -1).transpose(1, 0, 2))
     dw = np.einsum("nop,nqp->oq", dflat, cols).reshape(lp.kernels.shape)
     db = dflat.sum(axis=(0, 2))
+    if not want_dx:
+        return None, dw, db
     flipped = lp.kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    dx = conv2d_dense(dout, np.ascontiguousarray(flipped))
-    return dx, dw, db
-
-
-def maxpool2x2(x):
-    """Non-overlapping 2x2 max pooling; spatial dims must be even."""
-    x, squeeze = _as_batch(x)
-    h, w = x.shape[2:]
-    if h % 2 or w % 2:
-        raise DimensionError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
-    out = _maxpool_values(x)
-    return out[0] if squeeze else out
+    return conv2d_dense(dout, np.ascontiguousarray(flipped)), dw, db
 
 
 def _maxpool_values(x):
@@ -272,21 +258,19 @@ def _maxpool_backward(dout, arg, x_shape):
 
 
 def softmax(logits):
-    """Row-wise stable softmax; accepts a single vector or (N, C)."""
+    """Stable softmax over axis 1 of an (N, C) or (N, C, H, W) array."""
     z = np.asarray(logits, dtype=np.float64)
-    single = z.ndim == 1
-    if single:
-        z = z[None]
+    if z.ndim < 2:
+        raise DimensionError(f"softmax needs a class axis at 1, got shape {z.shape}")
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    return p[0] if single else p
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def run_network(spec: NetworkSpec, x, conv, record=None):
     """Run the two-headed network with a given conv implementation.
 
-    x is (N, C, H, W) or (C, H, W).  Inside, activations are channel-major
+    x is an (N, C, H, W) batch.  Inside, activations are channel-major
     (C, N, H, W) up to global averaging, which yields (N, C) rows; a head
     that ends without averaging returns its maps as (N, C, H, W).
     conv(layer, x) receives the channel-major input and returns a fresh
@@ -301,7 +285,7 @@ def run_network(spec: NetworkSpec, x, conv, record=None):
     (N, C), or each position of (C, N, H, W) maps.
     Returns (loc, probs).
     """
-    x, squeeze = _as_batch(x)
+    x = _as_batch(x)
     if x.shape[1:] != (spec.in_channels, spec.input_size, spec.input_size):
         raise DimensionError(
             f"input shape {x.shape[1:]} does not match spec "
@@ -334,10 +318,8 @@ def run_network(spec: NetworkSpec, x, conv, record=None):
         return x
 
     trunk = run(spec.shared_trunk, x.transpose(1, 0, 2, 3))
-    loc, probs = (y.transpose(1, 0, 2, 3) if y.ndim == 4 else y
-                  for y in (run(spec.loc_head, trunk),
-                            run(spec.cla_head, trunk)))
-    return (loc[0], probs[0]) if squeeze else (loc, probs)
+    return tuple(y.transpose(1, 0, 2, 3) if y.ndim == 4 else y
+                 for y in (run(spec.loc_head, trunk), run(spec.cla_head, trunk)))
 
 
 def forward(params: ModelParams, x, want_cache=True):
@@ -361,9 +343,11 @@ def backward(params: ModelParams, cache, grad_loc, grad_cla):
     """Gradients of sum(grad_loc * loc) + sum(grad_cla * probs) w.r.t. params.
 
     grad_cla is taken against the post-softmax probabilities.  Returns a
-    dict name -> (dkernels, dbias) matching the parameter shapes.
-    Gradients flow sample-major (N, C, H, W), over sample-major views of
-    the channel-major forward records.
+    dict name -> (dkernels, dbias) matching the parameter shapes: parameter
+    gradients only.  A conv that reads the network input forms no input
+    gradient, since nothing reads it.  Gradients flow sample-major
+    (N, C, H, W), over sample-major views of the channel-major forward
+    records.
     """
     if cache is None or "steps" not in cache:
         raise ConfigError("backward needs the cache from a matching forward call")
@@ -373,8 +357,13 @@ def backward(params: ModelParams, cache, grad_loc, grad_cla):
     loc_end = trunk_end + len(spec.loc_head)
     grads = {}
 
+    # the steps that read the network input: the trunk's first, or each
+    # head's first when the trunk is empty
+    input_steps = {0, loc_end} if trunk_end == 0 else {0}
+
     def run_back(lo, hi, dx):
-        for layer, x_shape, out, aux in reversed(steps[lo:hi]):
+        for i in range(hi - 1, lo - 1, -1):
+            layer, x_shape, out, aux = steps[i]
             if layer.kind == "softmax":
                 if aux.ndim == 4:
                     aux = aux.transpose(1, 0, 2, 3)
@@ -390,15 +379,15 @@ def backward(params: ModelParams, cache, grad_loc, grad_cla):
                 if layer.relu:
                     dx = dx * (out.transpose(1, 0, 2, 3) > 0)
                 lp = params.layers[layer.name]
-                dx, dw, db = _conv_backward(dx, aux, lp)
+                dx, dw, db = _conv_backward(dx, aux, lp,
+                                            want_dx=i not in input_steps)
                 grads[layer.name] = (dw, db)
         return dx
 
-    grad_loc = np.atleast_2d(np.asarray(grad_loc, dtype=np.float64))
-    grad_cla = np.atleast_2d(np.asarray(grad_cla, dtype=np.float64))
-    d_trunk = run_back(trunk_end, loc_end, grad_loc)
-    d_trunk = d_trunk + run_back(loc_end, len(steps), grad_cla)
-    run_back(0, trunk_end, d_trunk)
+    d_loc = run_back(trunk_end, loc_end, np.asarray(grad_loc, dtype=np.float64))
+    d_cla = run_back(loc_end, len(steps), np.asarray(grad_cla, dtype=np.float64))
+    if trunk_end:
+        run_back(0, trunk_end, d_loc + d_cla)
     return grads
 
 

@@ -271,13 +271,27 @@ def _implied_z(box, cam, d3d):
     return cam.m11 * d3d / side - cam.m34
 
 
+def check_band_edges(edges):
+    """edges as a tuple; ConfigError unless there are at least two, all
+    finite and strictly increasing."""
+    edges = tuple(edges)
+    if len(edges) < 2:
+        raise ConfigError(f"distance bands need at least two edges, "
+                          f"got {len(edges)}")
+    if not (np.isfinite(edges).all()
+            and all(lo < hi for lo, hi in zip(edges, edges[1:]))):
+        raise ConfigError(f"distance band edges {edges} are not finite "
+                          "and strictly increasing")
+    return edges
+
+
 def evaluate(dets_by_image, gts_by_image, iou_thresh=EVAL_IOU, *,
              cam=None, d3d=None, band_edges=None):
     """Detection-level scoring at the given IoU threshold.
 
     Both arguments map image keys to lists; the key sets must agree.  With
-    cam, d3d, and band_edges (list of (z_lo, z_hi), finite with z_lo < z_hi,
-    else ConfigError), precision/recall are additionally bucketed by the
+    cam, d3d, and band_edges (list of (z_lo, z_hi), each pair passing
+    check_band_edges), precision/recall are additionally bucketed by the
     distance each box size implies.
     """
     if set(dets_by_image) != set(gts_by_image):
@@ -304,9 +318,7 @@ def evaluate(dets_by_image, gts_by_image, iou_thresh=EVAL_IOU, *,
             raise ConfigError("distance bands require cam and d3d")
         rows = []
         for z_lo, z_hi in band_edges:
-            if not (z_lo < z_hi and np.isfinite([z_lo, z_hi]).all()):
-                raise ConfigError(f"distance band {z_lo}..{z_hi} is not "
-                                  "finite and increasing")
+            check_band_edges((z_lo, z_hi))
             def hit(box):
                 return z_lo <= _implied_z(box, cam, d3d) < z_hi
             tp_b = sum(hit(g.box) for _, g in pairs)

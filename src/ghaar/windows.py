@@ -195,13 +195,6 @@ def crop_window(win: Window, levels, ws=DEFAULT_WS):
     return level.image[y:y + ws, x:x + ws]
 
 
-def write_windows_csv(path, windows):
-    with open(path, "w") as fh:
-        fh.write("level,x2d,y2d,d2d\n")
-        for w in windows:
-            fh.write(f"{w.level},{w.x2d:.4f},{w.y2d:.4f},{w.d2d:.4f}\n")
-
-
 @dataclass(frozen=True)
 class CoverageReport:
     passed: bool

@@ -53,6 +53,30 @@ bottleneck = 2
 """
 
 
+GEOMETRY_KEYS = ("m11", "m22", "m13", "m23", "d3d",
+                 "x3d_min", "x3d_max", "y3d_min", "y3d_max")
+
+
+def config_without(*keys):
+    """SMALL_CONFIG minus the lines that set the given keys."""
+    return "".join(line + "\n" for line in SMALL_CONFIG.splitlines()
+                   if line.split(" = ")[0] not in keys)
+
+
+@pytest.fixture
+def detect_calls(monkeypatch):
+    """The argument tuples of every pipeline.detect_image call."""
+    calls = []
+    detect = pl.detect_image
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return detect(*args, **kw)
+
+    monkeypatch.setattr(pl, "detect_image", counting)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -163,7 +187,7 @@ def test_eval_malformed_bands_is_config_error(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize("edges", ["9 1", "nan 4", "4 inf", "5"])
 def test_eval_bands_out_of_order_non_finite_or_single_is_config_error(
-        workspace, tmp_path, capsys, edges):
+        workspace, tmp_path, capsys, detect_calls, edges):
     cfg = tmp_path / "bands.cfg"
     cfg.write_text(SMALL_CONFIG + f"bands = {edges}\n")
     assert cli.main(["eval", "--config", str(cfg),
@@ -172,6 +196,38 @@ def test_eval_bands_out_of_order_non_finite_or_single_is_config_error(
     captured = capsys.readouterr()
     assert "config error:" in captured.err
     assert "band " not in captured.out
+    assert detect_calls == []     # refused before any image is detected
+
+
+def test_eval_bands_without_geometry_is_config_error(workspace, tmp_path,
+                                                     capsys, detect_calls):
+    cfg = tmp_path / "bands.cfg"
+    cfg.write_text(config_without(*GEOMETRY_KEYS) + "bands = 0 5 10\n")
+    assert cli.main(["eval", "--config", str(cfg),
+                     "--model", str(workspace["model"]),
+                     "--data", str(workspace["data"])]) == 2
+    assert "config error: bands needs the camera" in capsys.readouterr().err
+    assert detect_calls == []
+
+
+def test_partial_geometry_is_config_error(workspace, tmp_path, capsys):
+    # any camera or range key asks for pruning, which needs the full set
+    cfg = tmp_path / "partial.cfg"
+    cfg.write_text(config_without("x3d_min"))
+    model, data = str(workspace["model"]), str(workspace["data"])
+    for argv in (["bench", "-c", str(cfg), "-m", model],
+                 ["detect", "-c", str(cfg), "-m", model,
+                  "-o", str(tmp_path / "det"), data + "/train_00000.ppm"],
+                 ["eval", "-c", str(cfg), "-m", model, "--data", data]):
+        assert cli.main(argv) == 2, argv[0]
+        assert ("config error: missing required config key 'x3d_min'"
+                in capsys.readouterr().err), argv[0]
+    # with no camera or range key at all, every window is kept
+    cfg.write_text(config_without(*GEOMETRY_KEYS))
+    assert cli.main(["bench", "-c", str(cfg), "-m", model]) == 0
+    report = dict(line.split(" ", 1)
+                  for line in capsys.readouterr().out.splitlines())
+    assert report["filtered_windows"] == report["sliding_windows"]
 
 
 def test_subcommands_take_only_the_flags_they_read(workspace, capsys):

@@ -59,7 +59,7 @@ def test_haar_conv_step_matches_dense():
     assert worst <= 1e-5
 
 
-def test_op_counter_monotone_and_reset():
+def test_op_counter_monotone():
     c = cm.OpCounter()
     c.record("a", 10, 10, 80)
     c.record("a", 5, 5, 40)
@@ -67,8 +67,6 @@ def test_op_counter_monotone_and_reset():
     assert c.multiplies == 15 and c.additions == 120
     c.record("b", 1, 9, 8)
     assert c.multiplies == 24
-    c.reset()
-    assert c.layers == {} and c.multiplies == 0
 
 
 def test_spec_serialization_round_trip():
@@ -107,8 +105,8 @@ def test_encode_decode_round_trip_bitwise():
     back = cm.decode_model(data)
     assert back.digest == model.digest
     assert back.spec == model.spec
-    assert np.array_equal(back.space.selected, np.asarray(space.selected))
-    for name, lp in model.params.items():
+    assert np.array_equal(back.space.indices, space.indices)
+    for name, lp in model.params.layers.items():
         blp = back.params.layers[name]
         assert np.array_equal(lp.kernels, blp.kernels), name
         assert np.array_equal(lp.bias, blp.bias)
@@ -167,7 +165,7 @@ def test_compress_ships_no_accumulators_and_leaves_params_alone():
     params, space = trained_like_params(seed=5)
     before = params.copy()
     model = cm.compress(params, space)
-    for name, lp in params.items():
+    for name, lp in params.layers.items():
         was = before.layers[name]
         assert model.params.layers[name].shadow is None, name
         assert np.array_equal(lp.kernels, was.kernels), name
@@ -307,9 +305,9 @@ def test_fast_path_matches_dense_outputs():
     loc_d, probs_d = cm.forward_dense(model, x)
     assert np.abs(loc_f - loc_d).max() <= 1e-4
     assert np.abs(probs_f - probs_d).max() <= 1e-4
-    # single-window calls agree with themselves across repeats
-    l1, p1 = cm.forward_fast(model, x[0])
-    l2, p2 = cm.forward_fast(model, x[0])
+    # batch-of-one calls agree with themselves across repeats
+    l1, p1 = cm.forward_fast(model, x[:1])
+    l2, p2 = cm.forward_fast(model, x[:1])
     assert np.array_equal(l1, l2) and np.array_equal(p1, p2)
 
 
@@ -320,13 +318,13 @@ def test_routes_agree_bitwise_without_constrained_layers():
         head_widths=(4, 4), bottleneck=3, constrained=False)
     model = cm.compress(nn.init_params(spec, seed=9), hs.enumerate_space(3))
     x = np.random.default_rng(9).normal(size=(5, 2, 16, 16))
-    for xs in (x, x[2]):
+    for xs in (x, x[2:3]):
         loc, probs, _ = nn.forward(model.params, xs, want_cache=False)
         for route in (cm.forward_fast, cm.forward_dense):
             loc_r, probs_r = route(model, xs)
             assert loc_r.shape == loc.shape and probs_r.shape == probs.shape
             assert np.array_equal(loc_r, loc) and np.array_equal(probs_r, probs)
-    for bad in (x[:, :1], x[:, :, :8, :8], x[0, 0], x[None]):
+    for bad in (x[:, :1], x[:, :, :8, :8], x[2], x[0, 0], x[None]):
         for route in (cm.forward_fast, cm.forward_dense,
                       lambda m, xs: nn.forward(m.params, xs, want_cache=False)):
             with pytest.raises(DimensionError):
@@ -336,7 +334,7 @@ def test_routes_agree_bitwise_without_constrained_layers():
 def test_one_multiply_per_constrained_step():
     params, space = trained_like_params(seed=6)
     model = cm.compress(params, space)
-    x = np.random.default_rng(6).normal(size=(2, 16, 16))
+    x = np.random.default_rng(6).normal(size=(1, 2, 16, 16))
     fast = cm.OpCounter()
     cm.forward_fast(model, x, fast)
     dense = cm.OpCounter()
@@ -385,7 +383,7 @@ def one_layer_model(c, o, side, assign, factors, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(c=st.integers(1, 12), o=st.integers(1, 12), side=st.integers(1, 7),
-       batch=st.sampled_from([None, 1, 3]),
+       batch=st.sampled_from([1, 3]),
        assign=st.sampled_from(["one", "distinct", "random"]),
        factors=st.sampled_from(["random", "zero", "some_zero"]),
        seed=st.integers(0, 2**32 - 1))
@@ -393,33 +391,21 @@ def one_layer_model(c, o, side, assign, factors, seed):
 @example(c=12, o=12, side=4, batch=2, assign="distinct", factors="random", seed=1)
 @example(c=4, o=6, side=5, batch=2, assign="random", factors="zero", seed=2)
 @example(c=1, o=8, side=6, batch=2, assign="random", factors="random", seed=3)
-@example(c=6, o=5, side=5, batch=None, assign="random", factors="random", seed=4)
 @example(c=64, o=64, side=4, batch=2, assign="random", factors="some_zero", seed=5)
 def test_fast_conv_matches_dense_and_counts(c, o, side, batch, assign,
                                             factors, seed):
     model = one_layer_model(c, o, side, assign, factors, seed)
-    shape = (c, side, side) if batch is None else (batch, c, side, side)
-    x = np.random.default_rng(seed).normal(size=shape)
+    x = np.random.default_rng(seed).normal(size=(batch, c, side, side))
     fast, dense = cm.OpCounter(), cm.OpCounter()
     out_f, _ = cm.forward_fast(model, x, fast)
     out_d, _ = cm.forward_dense(model, x, dense)
-    assert out_f.shape == out_d.shape == shape[:-3] + (o, side, side)
+    assert out_f.shape == out_d.shape == (batch, o, side, side)
     assert np.abs(out_f - out_d).max() <= 1e-12
-    steps = (batch or 1) * side * side * o * c
+    steps = batch * side * side * o * c
     assert fast.layers == {"conv1": {
         "steps": steps, "multiplies": steps, "additions": 8 * steps}}
     assert dense.layers == {"conv1": {
         "steps": steps, "multiplies": 9 * steps, "additions": 8 * steps}}
-
-
-def test_infer_returns_label_and_score():
-    params, space = trained_like_params(seed=7)
-    model = cm.compress(params, space)
-    x = np.random.default_rng(7).normal(size=(2, 16, 16))
-    loc, label, score = cm.infer(model, x)
-    assert loc.shape == (4,)
-    assert 0 <= label < 3
-    assert 0.0 < score <= 1.0
 
 
 def test_storage_report_arithmetic():

@@ -64,8 +64,10 @@ def test_camera_and_ranges_builders():
     assert cam.m14 == 0.0
     ranges = cf.ranges_from_config(cfg)
     assert ranges.x3d_max == 8 and ranges.d3d == 1.8
-    assert cf.has_geometry(cfg)
-    assert not cf.has_geometry({"m11": "800"})
+    assert cf.geometry_from_config(cfg) == (cam, ranges)
+    assert cf.geometry_from_config({"ws": "32"}) == (None, None)
+    with pytest.raises(ConfigError, match="m22"):
+        cf.geometry_from_config({"m11": "800"})
     with pytest.raises(ConfigError):
         cf.camera_from_config({"m11": "800"})     # m22 missing
 

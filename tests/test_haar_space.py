@@ -37,42 +37,19 @@ def test_all_patterns_canonical_and_distinct():
     for m in (2, 3):
         space = hs.enumerate_space(m)
         seen = set()
-        for p in space.patterns:
+        for p in (space[i] for i in range(len(space))):
             assert p.cells[0, 0] == 1
             assert set(np.unique(p.cells)) <= {-1, 1}
             seen.add(p.cells.tobytes())
         assert len(seen) == len(space)
 
 
-def test_index_round_trip():
-    for m in (2, 3):
-        for idx in range(hs.space_size(m)):
-            cells = hs.cells_from_index(m, idx)
-            assert hs.index_from_cells(cells) == idx
-
-
 def test_index_extremes():
     # index 0: +1 only at the anchor; max index: all +1
-    cells0 = hs.cells_from_index(3, 0)
+    cells0 = hs.enumerate_space(3)[0].cells
     assert cells0[0, 0] == 1 and (cells0.reshape(-1)[1:] == -1).all()
-    cells_max = hs.cells_from_index(3, 255)
+    cells_max = hs.enumerate_space(3)[255].cells
     assert (cells_max == 1).all()
-
-
-def test_project_scale_hand_examples():
-    space = hs.enumerate_space(3)
-    all_ones = space[255]
-    w = np.arange(1.0, 10.0).reshape(3, 3)
-    assert hs.project_scale(w, all_ones) == pytest.approx(5.0)
-    # against index 0 the anchor contributes +1 and the rest -1
-    assert hs.project_scale(w, space[0]) == pytest.approx((1 - sum(range(2, 10))) / 9)
-    assert hs.project_scale(np.zeros((3, 3)), all_ones) == 0.0
-
-
-def test_project_scale_shape_check():
-    space = hs.enumerate_space(3)
-    with pytest.raises(DimensionError):
-        hs.project_scale(np.zeros((2, 2)), space[0])
 
 
 def test_nearest_matches_brute_force():
@@ -85,6 +62,8 @@ def test_nearest_matches_brute_force():
         assert got.index == idx
         assert got.scale == pytest.approx(lam, abs=1e-12)
         assert got.residual == pytest.approx(res, abs=1e-12)
+    with pytest.raises(DimensionError):
+        hs.nearest_filter(np.zeros((2, 2)), space)
 
 
 def test_nearest_scale_equivariance():
@@ -114,8 +93,9 @@ def test_projection_idempotent():
         assert got.residual == pytest.approx(0.0, abs=1e-18)
         assert got.index == p.canonical_index
         assert got.scale == pytest.approx(k)
-        # reconstruction returns exactly the same kernel
-        rebuilt = got.scale * space.signs[space.row_of(got.index)].reshape(3, 3)
+        # reconstruction returns exactly the same kernel; row r of the full
+        # space holds canonical index r
+        rebuilt = got.scale * space.signs[got.index].reshape(3, 3)
         assert np.allclose(rebuilt, w, atol=1e-12)
 
 
@@ -124,7 +104,9 @@ def test_scale_is_least_squares_optimal():
     rng = np.random.default_rng(5)
     w = rng.normal(size=(3, 3))
     for p in (space[17], space[200]):
-        lam = hs.project_scale(w, p)
+        # in a one-pattern space the nearest filter is p, at its scale
+        lam = hs.nearest_filter(
+            w, hs.reduced_space_from_indices(3, [p.canonical_index])).scale
         res = ((w.reshape(-1) - lam * p.cells.reshape(-1)) ** 2).sum()
         for eps in (1e-3, -1e-3, 0.1, -0.1):
             perturbed = ((w.reshape(-1) - (lam + eps) * p.cells.reshape(-1)) ** 2).sum()
@@ -145,17 +127,14 @@ def test_select_top_filters_ranks_by_count():
     counts[200] = 30
     counts[3] = 5
     reduced = hs.select_top_filters(counts, 3)
-    assert list(reduced.selected) == [200, 7, 40]  # count desc, index asc on ties
-    assert reduced.nr == 3
-    assert reduced.row_of(7) == 1
-    with pytest.raises(ConfigError):
-        reduced.row_of(3)
+    assert list(reduced.indices) == [200, 7, 40]  # count desc, index asc on ties
+    assert len(reduced) == 3
 
 
 def test_select_top_filters_all_tied():
     counts = np.ones(256, dtype=np.int64)
     reduced = hs.select_top_filters(counts, 32)
-    assert list(reduced.selected) == list(range(32))
+    assert list(reduced.indices) == list(range(32))
 
 
 def test_select_top_filters_validation():
@@ -174,10 +153,10 @@ def test_select_top_filters_validation():
 def test_reduced_space_round_trip():
     counts = np.arange(256, dtype=np.int64)
     reduced = hs.select_top_filters(counts, 8)
-    assert list(reduced.selected) == list(range(255, 247, -1))
-    for row, idx in enumerate(reduced.selected):
+    assert list(reduced.indices) == list(range(255, 247, -1))
+    for row, idx in enumerate(reduced.indices):
         assert np.array_equal(reduced.signs[row].reshape(3, 3),
-                              hs.cells_from_index(3, int(idx)).astype(float))
+                              hs.enumerate_space(3)[idx].cells.astype(float))
         assert reduced[row].canonical_index == idx
 
 
@@ -220,7 +199,8 @@ def test_project_batch_tie_rule_with_zero_cells():
     full = hs.enumerate_space(3)
     # kernel 0 has a zero anchor, so +-sign(w) with cell (0, 0) set to +1 tie
     sign = np.where(w[0] < 0, -1, 1)
-    partners = [hs.index_from_cells(np.r_[1, s[1:]]) for s in (sign, -sign)]
+    partners = [int(np.flatnonzero((full.signs == np.r_[1, s[1:]]).all(axis=1))[0])
+                for s in (sign, -sign)]
     rest = rng.choice(np.setdiff1d(np.arange(256), partners), 30, replace=False)
     reduced = hs.reduced_space_from_indices(
         3, sorted(np.r_[partners, rest], reverse=True))

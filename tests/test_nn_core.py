@@ -12,7 +12,7 @@ from ghaar import nn_core as nn
 
 
 def conv_reference(x, kernels, bias, pad):
-    """Direct nested-loop cross-correlation for small inputs."""
+    """Direct nested-loop cross-correlation of one (C, H, W) window."""
     c, h, w = x.shape
     o, _, k, _ = kernels.shape
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
@@ -48,7 +48,7 @@ def test_conv_matches_reference():
         x = rng.normal(size=(3, 6, 6))
         kernels = rng.normal(size=(4, 3, k, k))
         bias = rng.normal(size=4)
-        got = nn.conv2d_dense(x, kernels, bias)
+        got = nn.conv2d_dense(x[None], kernels, bias)[0]
         want = conv_reference(x, kernels, bias, pad)
         assert got.shape == want.shape
         assert rel_err(got, want) < 1e-12
@@ -61,24 +61,23 @@ def test_conv_batched_equals_per_sample():
     bias = rng.normal(size=3)
     batched = nn.conv2d_dense(x, kernels, bias)
     for i in range(5):
-        assert rel_err(batched[i], nn.conv2d_dense(x[i], kernels, bias)) < 1e-14
+        single = nn.conv2d_dense(x[i:i + 1], kernels, bias)[0]
+        assert rel_err(batched[i], single) < 1e-14
 
 
 def test_conv_channel_mismatch():
     with pytest.raises(DimensionError):
-        nn.conv2d_dense(np.zeros((2, 4, 4)), np.zeros((1, 3, 3, 3)))
+        nn.conv2d_dense(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 3, 3)))
 
 
 def test_maxpool_values_and_ties():
-    x = np.array([[[1.0, 2.0, 0.0, 0.0],
-                   [3.0, 4.0, 0.0, 0.0],
-                   [5.0, 5.0, 7.0, 8.0],
-                   [5.0, 5.0, 9.0, 6.0]]])
-    out = nn.maxpool2x2(x)
-    assert out.shape == (1, 2, 2)
-    assert out[0].tolist() == [[4.0, 0.0], [5.0, 9.0]]
-    with pytest.raises(DimensionError):
-        nn.maxpool2x2(np.zeros((1, 3, 4)))
+    x = np.array([[[[1.0, 2.0, 0.0, 0.0],
+                    [3.0, 4.0, 0.0, 0.0],
+                    [5.0, 5.0, 7.0, 8.0],
+                    [5.0, 5.0, 9.0, 6.0]]]])
+    out = nn._maxpool_values(x)
+    assert out.shape == (1, 1, 2, 2)
+    assert out[0, 0].tolist() == [[4.0, 0.0], [5.0, 9.0]]
 
 
 def test_maxpool_backward_routes_to_first_max():
@@ -125,7 +124,6 @@ POOL_CELLS = (st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
 def test_inference_pool_equals_argmax_pool(x):
     want, _ = nn._maxpool_forward(x)
     assert same_bits(nn._maxpool_values(x), want)
-    assert same_bits(nn.maxpool2x2(x), want)
     # through the layer walk: plain max without a record hook, the argmax
     # pool with one
     spec = pool_only_spec(x.shape[1], x.shape[2])
@@ -148,8 +146,10 @@ def test_softmax_properties():
     assert (p > 0).all()
     # shift invariance and overflow safety
     assert np.allclose(nn.softmax(z + 1000.0), p)
-    single = nn.softmax(np.array([0.0, np.log(3.0)]))
-    assert single == pytest.approx([0.25, 0.75])
+    assert nn.softmax(np.array([[0.0, np.log(3.0)]]))[0] == pytest.approx(
+        [0.25, 0.75])
+    with pytest.raises(DimensionError):
+        nn.softmax(np.array([0.0, np.log(3.0)]))
 
 
 def test_softmax_on_maps_is_per_window_and_per_position():
@@ -171,8 +171,8 @@ def test_softmax_on_maps_is_per_window_and_per_position():
     want = nn.softmax(logits.transpose(0, 2, 3, 1).reshape(-1, 3))
     assert rel_err(probs.transpose(0, 2, 3, 1).reshape(-1, 3), want) < 1e-15
     for i in (0, 4):
-        _, pi, _ = nn.forward(params, x[i], want_cache=False)
-        assert rel_err(pi, probs[i]) < 1e-12
+        _, pi, _ = nn.forward(params, x[i:i + 1], want_cache=False)
+        assert rel_err(pi[0], probs[i]) < 1e-12
     # backward through the per-position softmax
     tl, tc = rng.normal(size=(5, 4)), rng.uniform(size=probs.shape)
     grads = nn.backward(params, cache, 2.0 * (loc - tl), 2.0 * (probs - tc))
@@ -189,9 +189,10 @@ def test_softmax_on_maps_is_per_window_and_per_position():
 def test_network_shapes():
     spec = nn.build_network_spec()  # stock widths at 48x48
     params = nn.init_params(spec, seed=0)
-    loc, probs, _ = nn.forward(params, np.zeros((3, 48, 48)), want_cache=False)
-    assert loc.shape == (4,)
-    assert probs.shape == (3,)
+    loc, probs, _ = nn.forward(params, np.zeros((1, 3, 48, 48)),
+                               want_cache=False)
+    assert loc.shape == (1, 4)
+    assert probs.shape == (1, 3)
     assert probs.sum() == pytest.approx(1.0)
     names = [l.name for l, _ in spec.conv_layers()]
     assert names[:4] == ["conv1", "conv2", "conv3", "conv4"]
@@ -209,9 +210,12 @@ def test_small_network_batch_forward():
     assert np.allclose(probs.sum(axis=1), 1.0)
     # per-sample forward agrees with the batch
     for i in (0, 3, 6):
-        li, pi, _ = nn.forward(params, x[i], want_cache=False)
-        assert rel_err(li, loc[i]) < 1e-12
-        assert rel_err(pi, probs[i]) < 1e-12
+        li, pi, _ = nn.forward(params, x[i:i + 1], want_cache=False)
+        assert rel_err(li[0], loc[i]) < 1e-12
+        assert rel_err(pi[0], probs[i]) < 1e-12
+    # a single window is a batch of one: (C, H, W) is refused
+    with pytest.raises(DimensionError):
+        nn.forward(params, x[0], want_cache=False)
 
 
 def test_init_deterministic_and_bounded():
@@ -271,6 +275,54 @@ def test_backward_matches_finite_differences():
         down = loss_of(params, x, tl, tc)
         lp.bias[0] = old
         assert abs((up - down) / (2 * h) - db[0]) / max(abs(db[0]), 1e-8) < 1e-4, name
+
+
+def pool_first_spec():
+    spec = nn.build_network_spec(
+        in_channels=2, classes=3, window=32, trunk_widths=(3, 4, 4, 5),
+        head_widths=(4, 4), bottleneck=3, constrained=False)
+    return dataclasses.replace(spec, shared_trunk=(
+        (nn.LayerSpec("pool0", "maxpool"),) + spec.shared_trunk))
+
+
+def trunkless_spec():
+    # both heads read the network input
+    spec = nn.build_network_spec(
+        in_channels=5, classes=3, window=16, trunk_widths=(5, 5, 5, 5),
+        head_widths=(4, 4), bottleneck=3, constrained=False)
+    return dataclasses.replace(spec, shared_trunk=())
+
+
+@pytest.mark.parametrize("make_spec, reads_input", [
+    (small_spec, 1), (pool_first_spec, 0), (trunkless_spec, 2)])
+def test_backward_forms_no_input_gradient(make_spec, reads_input, monkeypatch):
+    # every conv's input gradient is formed by one conv2d_dense call,
+    # except for the convs that read the network input: nothing reads theirs
+    spec = make_spec()
+    rng = np.random.default_rng(8)
+    params = nn.init_params(spec, seed=8)
+    x = rng.normal(size=(2, spec.in_channels, spec.input_size, spec.input_size))
+    tl, tc = rng.normal(size=(2, 4)), rng.uniform(size=(2, 3))
+    loc, probs, cache = nn.forward(params, x)
+    calls = []
+    dense = nn.conv2d_dense
+    monkeypatch.setattr(nn, "conv2d_dense",
+                        lambda *args: calls.append(args) or dense(*args))
+    grads = nn.backward(params, cache, 2.0 * (loc - tl), 2.0 * (probs - tc))
+    convs = [l.name for l, _ in spec.conv_layers()]
+    assert sorted(grads) == sorted(convs)
+    assert len(calls) == len(convs) - reads_input
+    monkeypatch.undo()
+    h = 1e-6
+    for name in convs:
+        lp = params.layers[name]
+        old = lp.kernels[0, 0, 0, 0]
+        lp.kernels[0, 0, 0, 0] = old + h
+        up = loss_of(params, x, tl, tc)
+        lp.kernels[0, 0, 0, 0] = old - h
+        down = loss_of(params, x, tl, tc)
+        lp.kernels[0, 0, 0, 0] = old
+        assert rel_err((up - down) / (2 * h), grads[name][0][0, 0, 0, 0]) < 1e-4, name
 
 
 def test_sgd_update_inplace():

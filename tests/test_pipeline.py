@@ -237,6 +237,10 @@ def test_evaluate_distance_bands():
     assert far.recall == 0.0
     with pytest.raises(ConfigError):
         pl.evaluate({"a": dets}, {"a": [near_gt]}, band_edges=[(0, 30)])
+    for bad in ([(30, 0)], [(0, np.nan)], [(0, 30), (30, 30)]):
+        with pytest.raises(ConfigError):
+            pl.evaluate({"a": dets}, {"a": [near_gt]}, cam=cam, d3d=1.0,
+                        band_edges=bad)
 
 
 def tiny_model(seed=0):

@@ -69,7 +69,7 @@ def test_regularizer_single_pattern_space_is_exact_residual():
 
 def test_regularizer_on_manifold_kernel():
     space = hs.enumerate_space(3)
-    w = 1.7 * hs.cells_from_index(3, 90).astype(float)
+    w = 1.7 * space[90].cells.astype(float)
     value, _ = tr.haar_regularizer(w, space, phi=1.0, q=8)
     # nearest residual is zero so the soft minimum is small and nonnegative
     assert 0.0 <= value < np.log(256) / 8 + 1e-9
@@ -212,7 +212,7 @@ def test_non_finite_loss_stops_the_step_before_backward():
     x, loc_t, labels = toy_data(4, seed=1)
     with pytest.raises(TrainingError, match="non-finite loss"):
         tr.train_step(params, x, loc_t, labels, space, cfg, lr=0.01)
-    for name, lp in params.items():
+    for name, lp in params.layers.items():
         assert np.array_equal(lp.bias, before.layers[name].bias), name
         assert np.array_equal(lp.kernels, before.layers[name].kernels,
                               equal_nan=True), name
@@ -232,7 +232,7 @@ def test_unseeded_constrained_step_raises_before_any_work():
         before = params.copy()
         with pytest.raises(TrainingError, match="no pattern assignment"):
             tr.train_step(params, x, loc_t, labels, space, cfg, lr=0.01)
-        for name, lp in params.items():
+        for name, lp in params.layers.items():
             was = before.layers[name]
             assert np.array_equal(lp.kernels, was.kernels), name
             assert np.array_equal(lp.bias, was.bias), name
@@ -281,14 +281,14 @@ def test_usage_census_counts_slices():
     small = tr.usage_census(params, reduced)
     assert small.shape == (256,)
     assert small.sum() == expected
-    assert set(np.nonzero(small)[0]) <= set(int(i) for i in reduced.selected)
+    assert set(np.nonzero(small)[0]) <= set(int(i) for i in reduced.indices)
 
 
 def test_fit_two_phase_shapes_and_log():
     cfg = small_cfg(epochs=2, phase_a_epochs=1, nr=8)
     x, loc_t, labels = toy_data(24, seed=11)
     params, reduced, rows = tr.fit(x, loc_t, labels, cfg, val=(x, loc_t, labels))
-    assert reduced.nr == 8
+    assert len(reduced) == 8
     assert [r["phase"] for r in rows] == ["A", "B"]
     assert rows[0]["space"] == 256 and rows[1]["space"] == 8
     for r in rows:
@@ -313,7 +313,7 @@ def test_fit_is_bitwise_reproducible():
     x, loc_t, labels = toy_data(20, seed=33)
     p1, s1, _ = tr.fit(x, loc_t, labels, cfg1)
     p2, s2, _ = tr.fit(x.copy(), loc_t.copy(), labels.copy(), cfg2)
-    assert np.array_equal(s1.selected, s2.selected)
+    assert np.array_equal(s1.indices, s2.indices)
     for name in p1.layers:
         assert np.array_equal(p1.layers[name].kernels, p2.layers[name].kernels)
         assert np.array_equal(p1.layers[name].bias, p2.layers[name].bias)

@@ -186,14 +186,6 @@ def test_crop_window_reads_level_pixels():
         wd.crop_window(wd.Window(1000.0, 10.0, 48.0, 0), levels)
 
 
-def test_windows_csv(tmp_path):
-    path = tmp_path / "w.csv"
-    wd.write_windows_csv(path, [wd.Window(24.0, 24.0, 48.0, 0)])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "level,x2d,y2d,d2d"
-    assert lines[1] == "0,24.0000,24.0000,48.0000"
-
-
 def test_scene_ranges_validation():
     with pytest.raises(ConfigError):
         wd.SceneRanges(5.0, -5.0, 0.0, 1.0, 2.0)
