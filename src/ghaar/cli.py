@@ -16,7 +16,6 @@ import numpy as np
 from . import compressed as cm
 from . import config as cf
 from . import haar_space as hs
-from . import nn_core as nn
 from . import pipeline as pl
 from . import ppm
 from . import synth as sy
@@ -55,16 +54,6 @@ def cmd_gen_data(args):
     return 0
 
 
-def _unconstrained_clone(params, tc: tr.TrainConfig):
-    """The same weights under a spec whose layers store raw kernels."""
-    spec = nn.build_network_spec(
-        in_channels=tc.in_channels, classes=tc.classes, window=tc.window,
-        trunk_widths=tc.trunk_widths, head_widths=tc.head_widths,
-        bottleneck=tc.bottleneck, constrained=False)
-    return nn.ModelParams(spec, {name: lp.copy()
-                                 for name, lp in params.layers.items()})
-
-
 def cmd_train(args):
     cfg = cf.parse_config(args.config)
     tc = cf.train_config_from_config(cfg, seed=args.seed)
@@ -93,11 +82,10 @@ def cmd_train(args):
                                  progress=progress)
     os.makedirs(args.out, exist_ok=True)
     tr.write_log_csv(rows, os.path.join(args.out, "log.csv"))
-    if tc.constrain:
-        model = cm.compress(params, space)
-    else:
-        clone = _unconstrained_clone(params, tc)
-        model = cm.compress(clone, hs.reduced_space_from_indices(tc.m, [0]))
+    if not tr.constrained_layer_names(params.spec):
+        # no record references the table; ship the smallest one
+        space = hs.reduced_space_from_indices(space.m, [0])
+    model = cm.compress(params, space)
     path = os.path.join(args.out, "model.ghnw")
     size = _save_model(model, path)
     print(f"wrote {path}: {size} bytes, {len(model.space)} patterns")

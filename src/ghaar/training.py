@@ -7,9 +7,10 @@ forward/backward through the projected kernels, applies the gradients
 straight through to the accumulators (plus the smooth-min pull toward the
 pattern space, evaluated at the accumulator), then re-projects each
 accumulator onto its nearest pattern to refresh the (pattern, factor) form.
-constrain_params is the single writer of that form (the shadow accumulator,
-filter_idx, factors and kernels): a constrained step requires it to have
-seeded every constrained layer, and nothing downstream rebuilds the form.
+The network spec alone says which layers are constrained.  constrain_params
+is the single writer of their form (the shadow accumulator, filter_idx,
+factors and kernels): a step requires it to have seeded every constrained
+layer, and nothing downstream rebuilds the form.
 Projecting the accumulator instead of the projected weight itself is what
 lets gradient components orthogonal to the current pattern accumulate until
 they flip it; re-projecting the projected weight discards them and training
@@ -43,7 +44,7 @@ class TrainConfig:
     m: int = 3
     loss_weights: tuple = (1.0, 1.0)   # (localization, classification)
     seed: int = 0
-    constrain: bool = True       # project after every step
+    constrain: bool = True       # network_spec's flag; the spec decides
     window: int = nn.DEFAULT_WINDOW
     in_channels: int = 3
     classes: int = 3
@@ -68,13 +69,11 @@ class TrainConfig:
             raise ConfigError("first-phase epochs must fit inside the total")
 
     def network_spec(self):
-        # eligibility is structural (every 3x3 conv); cfg.constrain only
-        # decides whether training actually projects
         return nn.build_network_spec(
             in_channels=self.in_channels, classes=self.classes,
             window=self.window, trunk_widths=self.trunk_widths,
             head_widths=self.head_widths, bottleneck=self.bottleneck,
-            constrained=True)
+            constrained=self.constrain)
 
     def lr_at(self, epoch: int) -> float:
         return self.lr * self.lr_decay ** (epoch // self.decay_every)
@@ -173,20 +172,32 @@ def cla_loss(probs, labels):
     return value, grad
 
 
-def train_step(params, x, loc_target, labels, space, cfg: TrainConfig, lr: float):
-    """One constrained SGD step over a batch.
+def _pulled(params, m):
+    """(name, kernels) of every m x m conv, the ones the smooth-min pull acts
+    on: the accumulator where the layer keeps one, else the kernels."""
+    out = []
+    for layer, _ in params.spec.conv_layers():
+        if layer.kernel_size == m:
+            lp = params.layers[layer.name]
+            out.append((layer.name,
+                        lp.kernels if lp.shadow is None else lp.shadow))
+    return out
 
-    With cfg.constrain, constrain_params, the single writer of the pattern
-    form, must have seeded every constrained layer, else TrainingError
-    before any work.  Returns a dict with the batch losses.  Raises
-    TrainingError when the loss or a gradient goes non-finite; both checks
-    run before any weight is updated.
+
+def train_step(params, x, loc_target, labels, space, cfg: TrainConfig, lr: float):
+    """One SGD step over a batch, constrained where params.spec says so.
+
+    constrain_params, the single writer of the pattern form, must have
+    seeded every layer the spec constrains (none in an unconstrained spec),
+    else TrainingError before any work.  Returns a dict with the batch
+    losses.  Raises TrainingError when the loss or a gradient goes
+    non-finite; both checks run before any weight is updated.
     """
-    if cfg.constrain:
-        for name in constrained_layer_names(params.spec):
-            if params.layers[name].shadow is None:
-                raise TrainingError(f"layer {name} has no pattern assignment "
-                                    "yet; run constrain_params first")
+    constrained = constrained_layer_names(params.spec)
+    for name in constrained:
+        if params.layers[name].shadow is None:
+            raise TrainingError(f"layer {name} has no pattern assignment "
+                                "yet; run constrain_params first")
     loc, probs, cache = nn.forward(params, x)
     mask = np.asarray(labels) != 0
     lv, lg = loc_loss(loc, loc_target, mask)
@@ -199,9 +210,7 @@ def train_step(params, x, loc_target, labels, space, cfg: TrainConfig, lr: float
     grads = nn.backward(params, cache, w_loc * lg, w_cla * cg)
     if cfg.phi > 0:
         mm = space.m * space.m
-        for name in constrained_layer_names(params.spec):
-            lp = params.layers[name]
-            base = lp.shadow if cfg.constrain else lp.kernels
+        for name, base in _pulled(params, space.m):
             o, c, k, _ = base.shape
             rv, rg = _regularizer_batch(base.reshape(o * c, mm),
                                         space.signs, cfg.phi, cfg.q)
@@ -211,36 +220,29 @@ def train_step(params, x, loc_target, labels, space, cfg: TrainConfig, lr: float
     for name, (dw, db) in grads.items():
         if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
             raise TrainingError(f"non-finite gradient in layer {name}")
-    if cfg.constrain:
-        # straight-through: gradients taken through the projected kernels
-        # land on the accumulators (sgd_update mutates in place), then the
-        # projection refreshes the (pattern, factor) form from them
-        for name in constrained_layer_names(params.spec):
-            lp = params.layers[name]
-            lp.kernels = lp.shadow
+    # straight-through: gradients taken through the projected kernels land
+    # on the accumulators (sgd_update mutates in place), then the projection
+    # refreshes the (pattern, factor) form from them
+    for name in constrained:
+        lp = params.layers[name]
+        lp.kernels = lp.shadow
     nn.sgd_update(params, grads, lr)
-    if cfg.constrain:
-        constrain_params(params, space)
+    constrain_params(params, space)
     err = float((probs.argmax(axis=1) != np.asarray(labels)).mean())
     return {"loss": total + reg_value, "loc": lv, "cla": cv, "reg": reg_value,
             "err_cla": err}
 
 
 def mean_nearest_residual(params, space) -> float:
-    """Average nearest-pattern residual over all eligible kernel slices.
+    """Average nearest-pattern residual over the slices the pull acts on.
 
-    Measured on the full-precision accumulators when training keeps them
+    Measured on the full-precision accumulators where training keeps them
     (the projected kernels sit on the manifold by construction, residual 0);
     this is the pre-projection distance the smooth-min pull acts on.
     """
-    chunks = []
     mm = space.m * space.m
-    for name in constrained_layer_names(params.spec):
-        lp = params.layers[name]
-        base = lp.kernels if lp.shadow is None else lp.shadow
-        flat = base.reshape(-1, mm)
-        _, _, res = hs.project_batch(flat, space)
-        chunks.append(res)
+    chunks = [hs.project_batch(base.reshape(-1, mm), space)[2]
+              for _, base in _pulled(params, space.m)]
     if not chunks:
         return 0.0
     return float(np.concatenate(chunks).mean())
@@ -332,8 +334,8 @@ def fit(x, loc_target, labels, cfg: TrainConfig, val=None, progress=None):
     Phase one trains against the full pattern space; a usage census then
     keeps the cfg.nr busiest patterns and phase two continues training
     against that reduced space.  Returns (params, reduced_space, log_rows).
-    With cfg.constrain False there is one unconstrained phase and the
-    returned space is the full one.
+    A spec without constrained layers (an unconstrained config) trains in
+    one phase and returns the full space.
     """
     x = np.asarray(x)      # _as_batch converts each batch to network input
     loc_target = np.asarray(loc_target, dtype=np.float64)
@@ -349,7 +351,7 @@ def fit(x, loc_target, labels, cfg: TrainConfig, val=None, progress=None):
     rows = []
     data = (x, loc_target, labels)
 
-    if not cfg.constrain:
+    if not constrained_layer_names(spec):
         _run_phase(params, full, data, cfg, rng, cfg.epochs, 0, rows, val,
                    progress)
         return params, full, rows
