@@ -258,7 +258,8 @@ def build_parser():
     common(p, config=True, out=True)
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--val-data", help="held-out dataset directory")
-    p.set_defaults(func=cmd_train)
+    # without --seed the file's seed key, else TrainConfig's, applies
+    p.set_defaults(func=cmd_train, seed=None)
 
     p = sub.add_parser("eval", help="score a model against a dataset")
     common(p, config=True, model=True, out=False)

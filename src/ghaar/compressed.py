@@ -116,14 +116,17 @@ def parse_spec(blob: bytes, base_offset: int = 0) -> nn.NetworkSpec:
 
     if not lines or lines[0] != f"ghaar-net {VERSION}":
         fail("missing or wrong signature line")
-    header = {}
+    header, arity = {}, {"input": 2, "classes": 1}
     sections = {"trunk": [], "loc": [], "cla": []}
     current = None
     for line in lines[1:]:
         parts = line.split()
         if not parts:
             continue
-        if parts[0] in ("input", "classes"):
+        if parts[0] in arity:
+            if (len(parts) != arity[parts[0]] + 1
+                    or not all(p.isdigit() for p in parts[1:])):
+                fail(f"malformed header line {line!r}")
             header[parts[0]] = [int(p) for p in parts[1:]]
         elif parts[0] == "section":
             if len(parts) != 2 or parts[1] not in sections:
@@ -142,11 +145,14 @@ def parse_spec(blob: bytes, base_offset: int = 0) -> nn.NetworkSpec:
             fail(f"unknown directive {parts[0]!r}")
     if "input" not in header or "classes" not in header:
         fail("missing input/classes header")
-    return nn.NetworkSpec(
-        input_size=header["input"][1], in_channels=header["input"][0],
-        classes=header["classes"][0],
-        shared_trunk=tuple(sections["trunk"]),
-        loc_head=tuple(sections["loc"]), cla_head=tuple(sections["cla"]))
+    try:
+        return nn.NetworkSpec(
+            input_size=header["input"][1], in_channels=header["input"][0],
+            classes=header["classes"][0],
+            shared_trunk=tuple(sections["trunk"]),
+            loc_head=tuple(sections["loc"]), cla_head=tuple(sections["cla"]))
+    except ConfigError as exc:      # a graph that cannot run
+        fail(str(exc))
 
 
 def spec_digest(spec: nn.NetworkSpec) -> bytes:

@@ -7,7 +7,9 @@ getter pulls them out.  List-valued keys hold whitespace-separated items
 
 Defaults live in the library, not here: a key the file leaves out keeps the
 default of the TrainConfig or SynthSettings field, or of the extract_samples
-or detect_image argument, that it sets.
+or detect_image argument, that it sets.  parse_config refuses a key outside
+KNOWN_KEYS, the keys some command reads, so a misspelt key cannot fall back
+to its default unnoticed.
 """
 
 from __future__ import annotations
@@ -36,12 +38,19 @@ def parse_config_text(text, origin="<config>"):
 
 
 def parse_config(path):
+    """A config file's keys and values; ConfigError names every key in it
+    that no command reads."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}")
-    return parse_config_text(text, origin=str(path))
+    cfg = parse_config_text(text, origin=str(path))
+    unknown = sorted(cfg.keys() - KNOWN_KEYS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown config key "
+                          + ", ".join(repr(k) for k in unknown))
+    return cfg
 
 
 def _get(cfg, key, default, cast, what):
@@ -136,6 +145,21 @@ _SYNTH_KEYS = dict(
 _EXTRACT_KEYS = dict(n_jitter=get_int, jitter_frac=get_float,
                      bg_ratio=get_float, flip=get_bool)
 
+# config key -> (detect_image argument, its default)
+_DETECT_KEYS = dict(
+    stride_frac=("stride_frac", DEFAULT_STRIDE_FRAC),
+    pyramid_ratio=("ratio", DEFAULT_RATIO),
+    score_thresh=("score_thresh", DETECT_SCORE_THRESH),
+    bandwidth_frac=("bandwidth_frac", MEAN_SHIFT_BANDWIDTH),
+    nms_iou=("nms_iou", DETECT_NMS_IOU))
+
+# every key some command reads: the builders' keys, seed and the loss
+# weights (train), and bands (eval)
+KNOWN_KEYS = frozenset(
+    _GEOMETRY_KEYS + tuple(_TRAIN_KEYS) + tuple(_SYNTH_KEYS)
+    + tuple(_EXTRACT_KEYS) + tuple(_DETECT_KEYS)
+    + ("seed", "loss_w_loc", "loss_w_cla", "bands"))
+
 
 def train_config_from_config(cfg, seed=None) -> TrainConfig:
     """An explicit seed beats the file's `seed` key."""
@@ -164,10 +188,5 @@ def extract_params_from_config(cfg):
 
 def detect_settings_from_config(cfg):
     """Keyword arguments for detect_image: window grid and refinement."""
-    return dict(
-        stride_frac=get_float(cfg, "stride_frac", DEFAULT_STRIDE_FRAC),
-        ratio=get_float(cfg, "pyramid_ratio", DEFAULT_RATIO),
-        score_thresh=get_float(cfg, "score_thresh", DETECT_SCORE_THRESH),
-        bandwidth_frac=get_float(cfg, "bandwidth_frac", MEAN_SHIFT_BANDWIDTH),
-        nms_iou=get_float(cfg, "nms_iou", DETECT_NMS_IOU),
-    )
+    return {arg: get_float(cfg, key, default)
+            for key, (arg, default) in _DETECT_KEYS.items()}

@@ -44,6 +44,9 @@ class LayerSpec:
                 f"layer {self.name}: only kernels of size >= 3 can be constrained")
         if self.kind == "conv" and self.kernel_size not in (1, 3):
             raise ConfigError(f"layer {self.name}: kernel size must be 1 or 3")
+        if self.kind == "conv" and min(self.in_channels,
+                                       self.out_channels) < 1:
+            raise ConfigError(f"layer {self.name}: channels must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,50 @@ class NetworkSpec:
     shared_trunk: tuple
     loc_head: tuple
     cla_head: tuple
+
+    def __post_init__(self):
+        """ConfigError unless the graph runs: unique layer names, each layer
+        fed what it takes, even maps at every pool, nothing but softmax after
+        averaging, a 4-wide loc head (when it has layers) and a cla head as
+        wide as the classes."""
+        seen = set()
+        for layer in self.shared_trunk + self.loc_head + self.cla_head:
+            if layer.name in seen:
+                raise ConfigError(f"repeated layer name {layer.name!r}")
+            seen.add(layer.name)
+        if min(self.in_channels, self.input_size) < 1:
+            raise ConfigError("input needs channels and a size")
+
+        def walk(seq, channels, size):      # size None once averaged
+            for layer in seq:
+                if layer.kind == "softmax":
+                    continue
+                if size is None:
+                    raise ConfigError(f"layer {layer.name}: {layer.kind} "
+                                      "after global averaging")
+                if layer.kind == "conv":
+                    if layer.in_channels != channels:
+                        raise ConfigError(
+                            f"layer {layer.name} takes {layer.in_channels} "
+                            f"channels, gets {channels}")
+                    channels = layer.out_channels
+                elif layer.kind == "maxpool":
+                    if size % 2:
+                        raise ConfigError(f"layer {layer.name} cannot pool "
+                                          f"a {size}x{size} map")
+                    size //= 2
+                else:
+                    size = None
+            return channels, size
+
+        trunk = walk(self.shared_trunk, self.in_channels, self.input_size)
+        loc, _ = walk(self.loc_head, *trunk)
+        cla, _ = walk(self.cla_head, *trunk)
+        if self.loc_head and loc != 4:
+            raise ConfigError(f"loc head yields {loc} values, not 4")
+        if cla != self.classes:
+            raise ConfigError(f"cla head yields {cla} values for "
+                              f"{self.classes} classes")
 
     def conv_layers(self):
         """(LayerSpec, branch) for every conv, in topological order."""

@@ -190,7 +190,12 @@ def detect_image(model, image, cam=None, ranges=None, *,
 
     Background label 0 and scores below score_thresh are dropped before
     refinement.  Pass a dict as diagnostics to get window/degenerate counts.
+    DataError when the model does not take the 3-channel windows an RGB
+    image yields.
     """
+    if model.spec.in_channels != 3:
+        raise DataError(f"model takes {model.spec.in_channels}-channel "
+                        "input; detection feeds it RGB windows")
     ws = model.spec.input_size
     wins, levels = final_windows(image, cam=cam, ranges=ranges, ws=ws,
                                  stride_frac=stride_frac, ratio=ratio)

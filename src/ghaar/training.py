@@ -67,6 +67,9 @@ class TrainConfig:
             self.phase_a_epochs = (self.epochs + 1) // 2
         if not 0 <= self.phase_a_epochs <= self.epochs:
             raise ConfigError("first-phase epochs must fit inside the total")
+        if not 1 <= self.nr <= hs.space_size(self.m):
+            raise ConfigError(f"reduced-space size must be in [1, "
+                              f"{hs.space_size(self.m)}], got {self.nr}")
 
     def network_spec(self):
         return nn.build_network_spec(
@@ -280,8 +283,8 @@ def _as_batch(x, idx):
     return np.asarray(sel, dtype=np.float64)
 
 
-def _run_phase(params, space, data, cfg, rng, epochs, epoch_offset, rows, val,
-               progress=None):
+def _run_phase(params, space, phase, data, cfg, rng, epochs, epoch_offset,
+               rows, val, progress=None):
     x, loc_t, labels = data
     for ep in range(epochs):
         lr = cfg.lr_at(epoch_offset + ep)
@@ -294,7 +297,6 @@ def _run_phase(params, space, data, cfg, rng, epochs, epoch_offset, rows, val,
             for k in sums:
                 sums[k] += info[k]
             nb += 1
-        phase = "A" if len(space) == hs.space_size(space.m) else "B"
         row = {"epoch": epoch_offset + ep, "phase": phase, "lr": lr,
                "space": len(space)}
         row.update({k: v / nb for k, v in sums.items()})
@@ -328,6 +330,21 @@ def evaluate_windows(params, x, loc_t, labels, batch_size=256):
             "val_err_loc": loc_sq / (4 * npos) if npos else 0.0}
 
 
+def _check_samples(x, labels, cfg, what):
+    """ConfigError unless there are samples, each is one network input, and
+    every label names one of the classes."""
+    if x.shape[0] == 0:
+        raise ConfigError(f"cannot fit on an empty {what} sample set")
+    shape = _as_batch(x, slice(0, 1)).shape[1:]
+    want = (cfg.in_channels, cfg.window, cfg.window)
+    if shape != want:
+        raise ConfigError(f"{what} samples have shape {shape}, the network "
+                          f"takes {want}")
+    if labels.min() < 0 or labels.max() >= cfg.classes:
+        raise ConfigError(f"{what} labels span {labels.min()}.."
+                          f"{labels.max()}, outside the {cfg.classes} classes")
+
+
 def fit(x, loc_target, labels, cfg: TrainConfig, val=None, progress=None):
     """Two-phase constrained training.
 
@@ -335,15 +352,17 @@ def fit(x, loc_target, labels, cfg: TrainConfig, val=None, progress=None):
     keeps the cfg.nr busiest patterns and phase two continues training
     against that reduced space.  Returns (params, reduced_space, log_rows).
     A spec without constrained layers (an unconstrained config) trains in
-    one phase and returns the full space.
+    one phase and returns the full space.  ConfigError before the first
+    step when a sample or label does not fit the network, in x or in val.
     """
     x = np.asarray(x)      # _as_batch converts each batch to network input
     loc_target = np.asarray(loc_target, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if x.shape[0] != loc_target.shape[0] or x.shape[0] != labels.shape[0]:
         raise ConfigError("sample arrays disagree on length")
-    if x.shape[0] == 0:
-        raise ConfigError("cannot fit on an empty sample set")
+    _check_samples(x, labels, cfg, "training")
+    if val is not None:
+        _check_samples(np.asarray(val[0]), np.asarray(val[2]), cfg, "held-out")
     spec = cfg.network_spec()
     rng = np.random.default_rng(cfg.seed)
     params = nn.init_params(spec, seed=cfg.seed)
@@ -352,17 +371,17 @@ def fit(x, loc_target, labels, cfg: TrainConfig, val=None, progress=None):
     data = (x, loc_target, labels)
 
     if not constrained_layer_names(spec):
-        _run_phase(params, full, data, cfg, rng, cfg.epochs, 0, rows, val,
-                   progress)
+        _run_phase(params, full, "A", data, cfg, rng, cfg.epochs, 0, rows,
+                   val, progress)
         return params, full, rows
 
     constrain_params(params, full)
-    _run_phase(params, full, data, cfg, rng, cfg.phase_a_epochs, 0, rows, val,
-               progress)
+    _run_phase(params, full, "A", data, cfg, rng, cfg.phase_a_epochs, 0, rows,
+               val, progress)
     counts = usage_census(params, full)
     reduced = hs.select_top_filters(counts, cfg.nr)
     constrain_params(params, reduced)
-    _run_phase(params, reduced, data, cfg, rng,
+    _run_phase(params, reduced, "B", data, cfg, rng,
                cfg.epochs - cfg.phase_a_epochs, cfg.phase_a_epochs, rows, val,
                progress)
     return params, reduced, rows

@@ -11,6 +11,8 @@ from ghaar import cli
 from ghaar import compressed as cm
 from ghaar import config as cf
 from ghaar import pipeline as pl
+from ghaar import synth as sy
+from ghaar import training as tr
 from ghaar import windows as wd
 
 SMALL_CONFIG = """
@@ -318,3 +320,88 @@ def test_bench_without_surviving_windows_is_data_error(workspace, tmp_path,
     assert cli.main(["bench", "--config", str(cfg),
                      "--model", str(workspace["model"])]) == 3
     assert "data error: no 16px window" in capsys.readouterr().err
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The path of every image extract_samples reads."""
+    calls = []
+    read = sy.read_ppm
+
+    def counting(path):
+        calls.append(path)
+        return read(path)
+
+    monkeypatch.setattr(sy, "read_ppm", counting)
+    return calls
+
+
+def test_misspelt_key_is_refused_before_any_image(workspace, tmp_path, capsys,
+                                                   reads):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(SMALL_CONFIG + "epoch = 3\n")     # for epochs
+    assert cli.main(["gen-data", "-c", str(cfg), "-o",
+                     str(tmp_path / "d")]) == 2
+    assert "unknown config key 'epoch'" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+    assert cli.main(["train", "-c", str(cfg), "--data",
+                     str(workspace["data"]), "-o", str(tmp_path / "run")]) == 2
+    assert "unknown config key 'epoch'" in capsys.readouterr().err
+    assert reads == [] and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("old, new, what", [
+    ("in_channels = 3", "in_channels = 1", "samples have shape"),
+    ("classes = 3", "classes = 2", "labels span 0..2"),
+])
+def test_train_refuses_samples_the_network_cannot_take(
+        workspace, tmp_path, capsys, monkeypatch, old, new, what):
+    steps = []
+    monkeypatch.setattr(tr, "train_step", lambda *a: steps.append(a))
+    cfg = tmp_path / "mismatch.cfg"
+    cfg.write_text(SMALL_CONFIG.replace(old, new))
+    assert cli.main(["train", "-c", str(cfg), "--data",
+                     str(workspace["data"]), "-o", str(tmp_path / "run")]) == 2
+    assert f"config error: training {what}" in capsys.readouterr().err
+    assert steps == []
+
+
+def test_detect_refuses_a_one_channel_model(workspace, tmp_path, capsys):
+    # a valid model the library trains, on inputs an RGB frame cannot give
+    cfg = tr.TrainConfig(epochs=1, batch_size=8, nr=8, window=16,
+                         in_channels=1, trunk_widths=(2, 3, 3, 3),
+                         head_widths=(3, 3), bottleneck=2)
+    rng = np.random.default_rng(0)
+    params, space, _ = tr.fit(rng.normal(size=(8, 1, 16, 16)),
+                              np.zeros((8, 4)), np.zeros(8, dtype=int), cfg)
+    model = tmp_path / "gray.ghnw"
+    model.write_bytes(cm.encode_model(cm.compress(params, space)))
+    assert cli.main(["detect", "-m", str(model), "-o", str(tmp_path / "det"),
+                     str(workspace["data"] / "train_00000.ppm")]) == 3
+    assert "data error: model takes 1-channel input" in capsys.readouterr().err
+
+
+def test_train_reads_the_seed_key_unless_seed_is_given(workspace, tmp_path):
+    cfg = tmp_path / "seeded.cfg"
+    cfg.write_text(SMALL_CONFIG + "seed = 9\n")
+    blobs = {}
+    for tag, extra in (("file", []), ("flag", ["--seed", "9"]),
+                       ("override", ["--seed", "0"])):
+        out = tmp_path / tag
+        assert cli.main(["train", "-c", str(cfg), "--data",
+                         str(workspace["data"]), "-o", str(out)] + extra) == 0
+        blobs[tag] = (out / "model.ghnw").read_bytes()
+    assert blobs["file"] == blobs["flag"] != blobs["override"]
+    assert blobs["override"] == workspace["model"].read_bytes()
+
+
+def test_unconstrained_train_ships_dense_kernels(workspace, tmp_path, capsys):
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text(SMALL_CONFIG + "constrain = false\n")
+    out = tmp_path / "run"
+    assert cli.main(["train", "-c", str(cfg), "--data",
+                     str(workspace["data"]), "-o", str(out)]) == 0
+    assert "phase B" not in capsys.readouterr().out
+    model = cm.decode_model((out / "model.ghnw").read_bytes())
+    assert len(model.space) == 1       # no record references the table
+    assert not any(layer.constrained for layer, _ in model.spec.conv_layers())

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import struct
 
 import numpy as np
@@ -209,6 +210,49 @@ def test_decode_rejects_bad_pattern_ref():
     with pytest.raises(FormatError) as err:
         cm.decode_model(bytes(data))
     assert err.value.offset == rec_off
+
+
+def model_bytes_for(spec_text):
+    """A model file carrying spec_text as written: a one-pattern table and
+    zero weights sized by the layer lines, so only the graph can be wrong."""
+    payload = bytearray(struct.pack("<BHI", 3, 1, 0))
+    for parts in (line.split() for line in spec_text.splitlines()):
+        if parts[:1] == ["layer"] and parts[2] == "conv":
+            k, c, o, constrained = (int(p) for p in parts[3:7])
+            per_kernel = cm.RECORD_SIZE if constrained else 4 * k * k
+            payload += bytes(per_kernel * o * c + 4 * o)
+    blob = spec_text.encode("ascii")
+    return (cm.MAGIC + bytes([cm.VERSION]) + hashlib.sha256(blob).digest()[:16]
+            + struct.pack("<I", len(blob)) + blob + bytes(payload))
+
+
+@pytest.mark.parametrize("edits, message", [
+    # conv1 yields 3 channels, conv2 says it takes 5
+    ([("conv2 conv 3 3 4", "conv2 conv 3 5 4")], "takes 5 channels, gets 3"),
+    # 24 -> 12 -> 6 -> 3 at pool4
+    ([("input 2 16", "input 2 24")], "pool4 cannot pool a 3x3 map"),
+    ([("layer conv2 conv", "layer conv1 conv")], "repeated layer name"),
+    ([("loc_out conv 1 3 4", "loc_out conv 1 3 3")], "loc head yields 3"),
+    ([("classes 3", "classes 4")], "cla head yields 3 values for 4"),
+    ([("input 2 16", "input 2")], "malformed header"),
+    ([("input 2 16", "input 2 0")], "input needs channels and a size"),
+    ([("classes 3", "classes 0"), ("cla_out conv 1 3 3", "cla_out conv 1 3 0")],
+     "channels must be >= 1"),
+    ([("layer loc_gap", "layer loc_gap2"),
+      ("layer loc_fc1", "layer loc_gap gap 0 0 0 0 0\nlayer loc_fc1")],
+     "loc_fc1: conv after global averaging"),
+], ids=["channel-chain", "odd-pool", "repeated-name", "loc-width",
+        "classes-width", "short-header", "empty-input", "zero-width-conv",
+        "conv-after-gap"])
+def test_decode_refuses_specs_that_cannot_run(edits, message):
+    spec = trained_like_params()[0].spec
+    text = cm.serialize_spec(spec).decode("ascii")
+    assert cm.decode_model(model_bytes_for(text)).spec == spec
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    with pytest.raises(FormatError, match=f"bad spec block: .*{message}"):
+        cm.decode_model(model_bytes_for(text))
 
 
 @functools.lru_cache(maxsize=None)

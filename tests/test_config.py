@@ -40,6 +40,34 @@ def test_parse_config_missing_file(tmp_path):
         cf.parse_config(tmp_path / "nope.cfg")
 
 
+def test_parse_config_refuses_keys_no_command_reads(tmp_path):
+    path = tmp_path / "typo.cfg"
+    path.write_text("epochs = 3\nepoch = 3\nlr = 0.1\n")
+    with pytest.raises(ConfigError, match="unknown config key 'epoch'"):
+        cf.parse_config(path)
+    path.write_text("epochs = 3\nlr = 0.1\n")
+    assert cf.parse_config(path) == {"epochs": "3", "lr": "0.1"}
+
+
+def readme_block(after):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split(after, 1)[1]
+
+
+def test_readme_config_parses_as_a_file(tmp_path):
+    path = tmp_path / "scene.cfg"
+    path.write_text(readme_block("Write a config").split("```")[1])
+    assert cf.parse_config(path)["ws"] == "32"
+
+
+def test_readme_key_table_lists_exactly_the_known_keys():
+    table = readme_block("## Config keys").split("\n## ", 1)[0]
+    keys = [row.split("|")[1].strip().strip("`")
+            for row in table.splitlines() if row.startswith("| `")]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == cf.KNOWN_KEYS
+
+
 def test_typed_getters():
     cfg = {"a": "2.5", "b": "7", "c": "true", "d": "1 2 3", "bad": "x"}
     assert cf.get_float(cfg, "a") == 2.5

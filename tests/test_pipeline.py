@@ -293,3 +293,15 @@ def test_detect_image_independent_of_batch_size():
             assert g.label == w.label
             assert abs(g.score - w.score) <= 1e-9
             assert max(abs(a - b) for a, b in zip(g.box, w.box)) <= 1e-9
+
+
+def test_detect_image_refuses_a_model_without_three_channels():
+    spec = nn.build_network_spec(in_channels=1, classes=3, window=16,
+                                 trunk_widths=(2, 3, 3, 3), head_widths=(3, 3),
+                                 bottleneck=2)
+    space = hs.enumerate_space(3)
+    model = cm.compress(tr.constrain_params(nn.init_params(spec), space),
+                        space)
+    image = np.zeros((40, 40, 3), dtype=np.uint8)
+    with pytest.raises(DataError, match="1-channel"):
+        pl.detect_image(model, image)

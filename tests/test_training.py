@@ -41,6 +41,14 @@ def test_config_validation():
     assert small_cfg(epochs=5).phase_a_epochs == 3
 
 
+@pytest.mark.parametrize("nr", [0, 257, 300])
+def test_reduced_space_size_is_checked_when_built(nr):
+    # before phase A trains, not at the census after it
+    with pytest.raises(ConfigError, match="reduced-space size"):
+        small_cfg(nr=nr)
+    assert small_cfg(nr=256).nr == 256
+
+
 def test_lr_schedule():
     cfg = small_cfg(lr=0.4, lr_decay=0.5, decay_every=10, epochs=2)
     assert cfg.lr_at(0) == 0.4
@@ -307,6 +315,33 @@ def test_fit_two_phase_shapes_and_log():
     assert rows[-1]["mean_residual"] >= 0.0
 
 
+def test_fit_logs_phase_b_over_a_full_size_reduced_space():
+    # the phase is the fit's, not a guess from the space's size
+    cfg = small_cfg(epochs=2, phase_a_epochs=1, nr=256)
+    x, loc_t, labels = toy_data(16, seed=12)
+    _, reduced, rows = tr.fit(x, loc_t, labels, cfg)
+    assert len(reduced) == 256
+    assert [r["phase"] for r in rows] == ["A", "B"]
+
+
+@pytest.mark.parametrize("train_kw, val_kw, match", [
+    (dict(channels=3), {}, "training samples have shape"),
+    (dict(window=32), {}, "training samples have shape"),
+    (dict(classes=3), {}, "training labels span"),
+    ({}, dict(classes=3), "held-out labels span"),
+    ({}, dict(n=0), "empty held-out sample set"),
+])
+def test_fit_refuses_samples_before_the_first_step(monkeypatch, train_kw,
+                                                   val_kw, match):
+    steps = []
+    monkeypatch.setattr(tr, "train_step", lambda *a: steps.append(a))
+    x, loc_t, labels = toy_data(**{"n": 12, "seed": 14, **train_kw})
+    val = toy_data(**{"n": 12, "seed": 15, **val_kw})
+    with pytest.raises(ConfigError, match=match):
+        tr.fit(x, loc_t, labels, small_cfg(), val=val)
+    assert steps == []
+
+
 def test_fit_is_bitwise_reproducible():
     cfg1 = small_cfg(epochs=2, nr=8, seed=33)
     cfg2 = small_cfg(epochs=2, nr=8, seed=33)
@@ -324,8 +359,11 @@ def test_fit_unconstrained_single_phase():
     x, loc_t, labels = toy_data(16, seed=13)
     params, space, rows = tr.fit(x, loc_t, labels, cfg)
     assert len(space) == 256
-    assert len(rows) == 2
-    assert params.layers["conv1"].filter_idx is None
+    assert [r["phase"] for r in rows] == ["A", "A"]
+    # the spec says no layer is constrained, so none has a pattern form
+    assert tr.constrained_layer_names(params.spec) == []
+    assert all(lp.filter_idx is None and lp.shadow is None
+               for lp in params.layers.values())
 
 
 def test_regularizer_pulls_toward_pattern_space():
