@@ -128,8 +128,6 @@ def build_network_spec(in_channels=3, classes=3, window=DEFAULT_WINDOW,
         raise ConfigError("trunk needs exactly 4 stage widths")
     if len(head_widths) != 2:
         raise ConfigError("each head needs exactly 2 conv widths")
-    if window % 16 != 0:
-        raise ConfigError("window size must survive four 2x2 pools")
     trunk = []
     prev = in_channels
     for i, width in enumerate(trunk_widths, start=1):
