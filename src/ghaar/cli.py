@@ -82,9 +82,6 @@ def cmd_train(args):
                                  progress=progress)
     os.makedirs(args.out, exist_ok=True)
     tr.write_log_csv(rows, os.path.join(args.out, "log.csv"))
-    if not tr.constrained_layer_names(params.spec):
-        # no record references the table; ship the smallest one
-        space = hs.reduced_space_from_indices(space.m, [0])
     model = cm.compress(params, space)
     path = os.path.join(args.out, "model.ghnw")
     size = _save_model(model, path)

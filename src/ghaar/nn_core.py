@@ -167,21 +167,16 @@ class LayerParams:
     shadow: np.ndarray = None        # (O, C, k, k) training accumulator, set
                                      # by constrain_params; never shipped
 
-    def copy(self):
-        return LayerParams(
-            self.kernels.copy(), self.bias.copy(),
-            None if self.filter_idx is None else self.filter_idx.copy(),
-            None if self.factors is None else self.factors.copy(),
-            None if self.shadow is None else self.shadow.copy())
+    @property
+    def trained(self):
+        """The accumulator where the layer keeps one, else the kernels."""
+        return self.kernels if self.shadow is None else self.shadow
 
 
 @dataclass
 class ModelParams:
     spec: NetworkSpec
     layers: dict = field(default_factory=dict)  # name -> LayerParams
-
-    def copy(self):
-        return ModelParams(self.spec, {k: v.copy() for k, v in self.layers.items()})
 
 
 def init_params(spec: NetworkSpec, seed: int = 0) -> ModelParams:
@@ -320,12 +315,12 @@ def run_network(spec: NetworkSpec, x, conv, record=None):
     that ends without averaging returns its maps as (N, C, H, W).
     conv(layer, x) receives the channel-major input and returns a fresh
     (O, N, H, W) pre-activation, which ReLU then overwrites in place, plus
-    an aux.  Pooling, averaging and softmax are applied here; pooling is
-    the plain 2x2 max unless record is given.  record receives one
+    an aux.  Pooling (the plain 2x2 max), averaging and softmax are applied
+    here, with or without record, which receives one
     (layer, input shape, output, aux) step per layer: the input shape is
     the channel-major one ((C, N, H, W), or (N, C) after averaging); output
     is the conv's activated output, None on other layers; aux is the conv's
-    aux, the pooling argmax (for backward) or the softmax output, in the
+    aux, the pool's input (backward's argmax) or the softmax output, in the
     layout of its input.  Softmax normalizes over channels: each row of
     (N, C), or each position of (C, N, H, W) maps.
     Returns (loc, probs).
@@ -343,10 +338,7 @@ def run_network(spec: NetworkSpec, x, conv, record=None):
             if layer.relu:
                 np.maximum(out, 0.0, out=out)
         elif layer.kind == "maxpool":
-            if record is None:
-                out = _maxpool_values(x)
-            else:
-                out, aux = _maxpool_forward(x)
+            out, aux = _maxpool_values(x), x
         elif layer.kind == "gap":
             out = x.mean(axis=(2, 3)).T
         elif x.ndim == 2:
@@ -392,7 +384,7 @@ def backward(params: ModelParams, cache, grad_loc, grad_cla):
     gradients only.  A conv that reads the network input forms no input
     gradient, since nothing reads it.  Gradients flow sample-major
     (N, C, H, W), over sample-major views of the channel-major forward
-    records.
+    records; a pool's argmax is taken from its recorded input.
     """
     if cache is None or "steps" not in cache:
         raise ConfigError("backward needs the cache from a matching forward call")
@@ -419,7 +411,8 @@ def backward(params: ModelParams, cache, grad_loc, grad_cla):
                 dx = np.broadcast_to(dx[:, :, None, None] / (h * w), (n, c, h, w))
             elif layer.kind == "maxpool":
                 c, n, h, w = x_shape
-                dx = _maxpool_backward(dx, aux.transpose(1, 0, 2, 3), (n, c, h, w))
+                arg = _maxpool_forward(aux)[1].transpose(1, 0, 2, 3)
+                dx = _maxpool_backward(dx, arg, (n, c, h, w))
             else:
                 if layer.relu:
                     dx = dx * (out.transpose(1, 0, 2, 3) > 0)
@@ -437,11 +430,13 @@ def backward(params: ModelParams, cache, grad_loc, grad_cla):
 
 
 def sgd_update(params: ModelParams, grads, lr: float):
-    """In-place w <- w - lr*g for every kernel and bias with a gradient."""
+    """In-place w <- w - lr*g for every bias and LayerParams.trained (the
+    accumulator where a layer keeps one) with a gradient."""
     if lr <= 0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
     for name, (dw, db) in grads.items():
         lp = params.layers[name]
-        lp.kernels -= lr * dw
+        w = lp.trained
+        w -= lr * dw
         lp.bias -= lr * db
     return params

@@ -3,14 +3,15 @@
 Every eligible 3x3 kernel slice the network actually runs with sits on the
 sign-pattern manifold w = pattern * factor.  Training keeps a full-precision
 accumulator per constrained slice alongside that projected form: a step runs
-forward/backward through the projected kernels, applies the gradients
-straight through to the accumulators (plus the smooth-min pull toward the
-pattern space, evaluated at the accumulator), then re-projects each
-accumulator onto its nearest pattern to refresh the (pattern, factor) form.
+detection's forward, then backward, through the projected kernels, applies
+the gradients straight through to the accumulators (plus the smooth-min
+pull toward the pattern space, evaluated at the accumulator), then
+re-projects each accumulator onto its nearest pattern to refresh the
+(pattern, factor) form.
 The network spec alone says which layers are constrained.  constrain_params
 is the single writer of their form (the shadow accumulator, filter_idx,
 factors and kernels): a step requires it to have seeded every constrained
-layer, and nothing downstream rebuilds the form.
+layer, and its readers (step, census, compress) never derive it again.
 Projecting the accumulator instead of the projected weight itself is what
 lets gradient components orthogonal to the current pattern accumulate until
 they flip it; re-projecting the projected weight discards them and training
@@ -20,7 +21,8 @@ against the reduced space the compressed model will ship with.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,7 +43,7 @@ class TrainConfig:
     phi: float = 0.1             # regularizer weight
     q: int = 8                   # smooth-min sharpness
     nr: int = 32                 # reduced-space size
-    m: int = 3
+    m: ClassVar[int] = 3         # pattern side: every constrained kernel is 3x3
     loss_weights: tuple = (1.0, 1.0)   # (localization, classification)
     seed: int = 0
     constrain: bool = True       # network_spec's flag; the spec decides
@@ -63,6 +65,9 @@ class TrainConfig:
             raise ConfigError("epochs and batch size must be >= 1")
         if not 0 < self.lr_decay <= 1:
             raise ConfigError(f"lr decay must be in (0, 1], got {self.lr_decay}")
+        if self.decay_every < 1:
+            raise ConfigError(f"lr decay interval must be >= 1 epoch, "
+                              f"got {self.decay_every}")
         if self.phase_a_epochs is None:
             self.phase_a_epochs = (self.epochs + 1) // 2
         if not 0 <= self.phase_a_epochs <= self.epochs:
@@ -176,15 +181,11 @@ def cla_loss(probs, labels):
 
 
 def _pulled(params, m):
-    """(name, kernels) of every m x m conv, the ones the smooth-min pull acts
-    on: the accumulator where the layer keeps one, else the kernels."""
-    out = []
-    for layer, _ in params.spec.conv_layers():
-        if layer.kernel_size == m:
-            lp = params.layers[layer.name]
-            out.append((layer.name,
-                        lp.kernels if lp.shadow is None else lp.shadow))
-    return out
+    """(name, trained weights) of every m x m conv, the ones the smooth-min
+    pull acts on."""
+    return [(layer.name, params.layers[layer.name].trained)
+            for layer, _ in params.spec.conv_layers()
+            if layer.kernel_size == m]
 
 
 def train_step(params, x, loc_target, labels, space, cfg: TrainConfig, lr: float):
@@ -224,11 +225,7 @@ def train_step(params, x, loc_target, labels, space, cfg: TrainConfig, lr: float
         if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
             raise TrainingError(f"non-finite gradient in layer {name}")
     # straight-through: gradients taken through the projected kernels land
-    # on the accumulators (sgd_update mutates in place), then the projection
-    # refreshes the (pattern, factor) form from them
-    for name in constrained:
-        lp = params.layers[name]
-        lp.kernels = lp.shadow
+    # on the accumulators, then the projection refreshes the form from them
     nn.sgd_update(params, grads, lr)
     constrain_params(params, space)
     err = float((probs.argmax(axis=1) != np.asarray(labels)).mean())
@@ -252,13 +249,13 @@ def mean_nearest_residual(params, space) -> float:
 
 
 def usage_census(params, space) -> np.ndarray:
-    """How many kernel slices currently sit nearest to each pattern."""
+    """How many kernel slices each pattern of space holds: a count of the
+    filter_idx that constrain_params wrote, so params must be constrained
+    against space."""
     counts = np.zeros(len(space), dtype=np.int64)
-    mm = space.m * space.m
     for name in constrained_layer_names(params.spec):
-        lp = params.layers[name]
-        rows, _, _ = hs.project_batch(lp.kernels.reshape(-1, mm), space)
-        counts += np.bincount(rows, minlength=len(space))
+        counts += np.bincount(params.layers[name].filter_idx.ravel(),
+                              minlength=len(space))
     # report against canonical indices, not row order
     out = np.zeros(hs.space_size(space.m), dtype=np.int64)
     out[np.asarray(space.indices)] = counts
@@ -350,9 +347,10 @@ def fit(x, loc_target, labels, cfg: TrainConfig, val=None, progress=None):
 
     Phase one trains against the full pattern space; a usage census then
     keeps the cfg.nr busiest patterns and phase two continues training
-    against that reduced space.  Returns (params, reduced_space, log_rows).
-    A spec without constrained layers (an unconstrained config) trains in
-    one phase and returns the full space.  ConfigError before the first
+    against that reduced space.  Returns (params, table, log_rows), table
+    being the pattern table the model ships with: the reduced space, or,
+    for a spec without constrained layers (one phase of training), a
+    one-entry table no record references.  ConfigError before the first
     step when a sample or label does not fit the network, in x or in val.
     """
     x = np.asarray(x)      # _as_batch converts each batch to network input
@@ -373,7 +371,7 @@ def fit(x, loc_target, labels, cfg: TrainConfig, val=None, progress=None):
     if not constrained_layer_names(spec):
         _run_phase(params, full, "A", data, cfg, rng, cfg.epochs, 0, rows,
                    val, progress)
-        return params, full, rows
+        return params, hs.reduced_space_from_indices(cfg.m, [0]), rows
 
     constrain_params(params, full)
     _run_phase(params, full, "A", data, cfg, rng, cfg.phase_a_epochs, 0, rows,

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes and a desk-scale end-to-end chain."""
 
+import dataclasses
 import os
 import shlex
 from pathlib import Path
@@ -379,6 +380,34 @@ def test_detect_refuses_a_one_channel_model(workspace, tmp_path, capsys):
     assert cli.main(["detect", "-m", str(model), "-o", str(tmp_path / "det"),
                      str(workspace["data"] / "train_00000.ppm")]) == 3
     assert "data error: model takes 1-channel input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("drop, what", [
+    ("loc_gap", "loc head does not end in global averaging"),
+    ("cla_softmax", "cla head does not end in averaging and softmax")])
+def test_detect_refuses_a_model_whose_heads_it_cannot_read(
+        workspace, tmp_path, capsys, drop, what):
+    # the trained model re-encoded under its spec minus one head layer
+    model = cm.decode_model(workspace["model"].read_bytes())
+    heads = {head: tuple(layer for layer in getattr(model.spec, head)
+                         if layer.name != drop)
+             for head in ("loc_head", "cla_head")}
+    spec = dataclasses.replace(model.spec, **heads)
+    path = tmp_path / "headless.ghnw"
+    path.write_bytes(cm.encode_model(dataclasses.replace(model, spec=spec)))
+    assert cli.main(["detect", "-m", str(path), "-o", str(tmp_path / "det"),
+                     str(workspace["data"] / "train_00000.ppm")]) == 3
+    assert f"data error: model's {what}" in capsys.readouterr().err
+
+
+def test_zero_decay_interval_is_refused_before_any_image(workspace, tmp_path,
+                                                         capsys, reads):
+    cfg = tmp_path / "decay.cfg"
+    cfg.write_text(SMALL_CONFIG + "decay_every = 0\n")
+    assert cli.main(["train", "-c", str(cfg), "--data",
+                     str(workspace["data"]), "-o", str(tmp_path / "run")]) == 2
+    assert "config error: lr decay interval" in capsys.readouterr().err
+    assert reads == [] and not (tmp_path / "run").exists()
 
 
 def test_train_reads_the_seed_key_unless_seed_is_given(workspace, tmp_path):

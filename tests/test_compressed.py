@@ -1,5 +1,6 @@
 """Codec round trips, fast-path fidelity, and operation accounting."""
 
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -164,7 +165,7 @@ def test_encode_refuses_a_table_one_byte_cannot_index():
 
 def test_compress_ships_no_accumulators_and_leaves_params_alone():
     params, space = trained_like_params(seed=5)
-    before = params.copy()
+    before = copy.deepcopy(params)
     model = cm.compress(params, space)
     for name, lp in params.layers.items():
         was = before.layers[name]
@@ -373,6 +374,36 @@ def test_routes_agree_bitwise_without_constrained_layers():
                       lambda m, xs: nn.forward(m.params, xs, want_cache=False)):
             with pytest.raises(DimensionError):
                 route(model, bad)
+
+
+def test_training_and_detection_run_one_forward():
+    # on constrained layers too: the cached forward training runs, the
+    # uncached one, and the dense detection route give the same bits
+    spec = nn.build_network_spec(
+        in_channels=2, classes=3, window=16, trunk_widths=(3, 4, 4, 4),
+        head_widths=(4, 4), bottleneck=3)
+    space = hs.enumerate_space(3)
+    model = cm.compress(
+        tr.constrain_params(nn.init_params(spec, seed=11), space), space)
+    x = np.random.default_rng(11).normal(size=(6, 2, 16, 16))
+    loc, probs, cache = nn.forward(model.params, x)
+    routes = (nn.forward(model.params, x, want_cache=False)[:2],
+              cm.forward_dense(model, x))
+    for loc_r, probs_r in routes:
+        for a, b in ((loc_r, loc), (probs_r, probs)):
+            assert a.shape == b.shape
+            assert (np.ascontiguousarray(a).tobytes()
+                    == np.ascontiguousarray(b).tobytes())
+    # a recorded pool step carries its channel-major input: the activated
+    # output of the conv before it
+    steps = cache["steps"]
+    pools = [i for i, (layer, *_) in enumerate(steps)
+             if layer.kind == "maxpool"]
+    assert len(pools) == 4
+    for i in pools:
+        _, shape, _, pool_in = steps[i]
+        assert pool_in.shape == shape
+        assert np.array_equal(pool_in, steps[i - 1][2])
 
 
 def test_one_multiply_per_constrained_step():

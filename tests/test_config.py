@@ -150,7 +150,7 @@ def test_readme_config_train_fields():
     assert dataclasses.asdict(tc) == {
         "epochs": 10, "phase_a_epochs": 5, "lr": 0.1, "lr_decay": 0.5,
         "decay_every": 10, "batch_size": 64, "phi": 0.1, "q": 8, "nr": 32,
-        "m": 3, "loss_weights": (1.0, 1.0), "seed": 0, "constrain": True,
+        "loss_weights": (1.0, 1.0), "seed": 0, "constrain": True,
         "window": 32, "in_channels": 3, "classes": 3,
         "trunk_widths": (6, 12, 12, 12), "head_widths": (12, 12),
         "bottleneck": 8}

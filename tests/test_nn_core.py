@@ -124,18 +124,18 @@ POOL_CELLS = (st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
 def test_inference_pool_equals_argmax_pool(x):
     want, _ = nn._maxpool_forward(x)
     assert same_bits(nn._maxpool_values(x), want)
-    # through the layer walk: plain max without a record hook, the argmax
-    # pool with one
+    # through the layer walk: the plain max with or without a record hook,
+    # which receives the pool's channel-major input for backward's argmax
     spec = pool_only_spec(x.shape[1], x.shape[2])
     plain, _ = nn.run_network(spec, x, conv=None)
     steps = []
     recorded, _ = nn.run_network(spec, x, conv=None, record=steps.append)
     assert same_bits(plain, want)
     assert same_bits(recorded, want)
-    (layer, shape, out, arg), = steps
+    (layer, shape, out, pool_in), = steps
     assert shape == (x.shape[1], x.shape[0]) + x.shape[2:]
     assert out is None
-    assert np.array_equal(arg, nn._maxpool_forward(x)[1].transpose(1, 0, 2, 3))
+    assert same_bits(pool_in, x.transpose(1, 0, 2, 3))
 
 
 def test_softmax_properties():

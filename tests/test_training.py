@@ -1,5 +1,7 @@
 """Regularizer math, the constrained step, and the two-phase fit."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,20 @@ def test_reduced_space_size_is_checked_when_built(nr):
     with pytest.raises(ConfigError, match="reduced-space size"):
         small_cfg(nr=nr)
     assert small_cfg(nr=256).nr == 256
+
+
+@pytest.mark.parametrize("every", [0, -3])
+def test_decay_interval_is_checked_when_built(every):
+    # before any sample is read, not at lr_at's division
+    with pytest.raises(ConfigError, match="decay interval"):
+        small_cfg(decay_every=every)
+
+
+def test_pattern_side_is_fixed_at_three():
+    # every kernel the spec constrains is 3x3, so the side is no field
+    assert tr.TrainConfig.m == small_cfg().m == 3
+    with pytest.raises(TypeError):
+        small_cfg(m=2)
 
 
 def test_lr_schedule():
@@ -168,7 +184,7 @@ def test_unconstrained_zero_phi_is_plain_sgd():
     cfg = small_cfg(constrain=False, phi=0.0)
     spec = cfg.network_spec()
     params = nn.init_params(spec, seed=7)
-    mirror = params.copy()
+    mirror = copy.deepcopy(params)
     x, loc_t, labels = toy_data(8, seed=7)
     for _ in range(5):
         tr.train_step(params, x, loc_t, labels, hs.enumerate_space(3), cfg, lr=0.03)
@@ -216,7 +232,7 @@ def test_non_finite_loss_stops_the_step_before_backward():
     params = tr.constrain_params(
         nn.init_params(cfg.network_spec(), seed=1), space)
     params.layers["conv1"].kernels[0, 0, 0, 0] = np.nan
-    before = params.copy()
+    before = copy.deepcopy(params)
     x, loc_t, labels = toy_data(4, seed=1)
     with pytest.raises(TrainingError, match="non-finite loss"):
         tr.train_step(params, x, loc_t, labels, space, cfg, lr=0.01)
@@ -237,7 +253,7 @@ def test_unseeded_constrained_step_raises_before_any_work():
                                  space)
     partly.layers["conv2"].shadow = None
     for params in (unseeded, partly):
-        before = params.copy()
+        before = copy.deepcopy(params)
         with pytest.raises(TrainingError, match="no pattern assignment"):
             tr.train_step(params, x, loc_t, labels, space, cfg, lr=0.01)
         for name, lp in params.layers.items():
@@ -286,7 +302,7 @@ def test_usage_census_counts_slices():
     assert counts.shape == (256,)
     # census against a reduced space reports on the canonical axis too
     reduced = hs.select_top_filters(usage, 8)
-    small = tr.usage_census(params, reduced)
+    small = tr.usage_census(tr.constrain_params(params, reduced), reduced)
     assert small.shape == (256,)
     assert small.sum() == expected
     assert set(np.nonzero(small)[0]) <= set(int(i) for i in reduced.indices)
@@ -358,7 +374,7 @@ def test_fit_unconstrained_single_phase():
     cfg = small_cfg(constrain=False, phi=0.0, epochs=2)
     x, loc_t, labels = toy_data(16, seed=13)
     params, space, rows = tr.fit(x, loc_t, labels, cfg)
-    assert len(space) == 256
+    assert len(space) == 1      # the table it ships with; no record reads it
     assert [r["phase"] for r in rows] == ["A", "A"]
     # the spec says no layer is constrained, so none has a pattern form
     assert tr.constrained_layer_names(params.spec) == []
