@@ -163,11 +163,10 @@ def cmd_detect(args):
     return 0
 
 
-def _dense_multiplies(spec, counter):
-    """Multiplies the dense route needs for the steps counted on the fast one."""
-    k = {layer.name: layer.kernel_size for layer, _ in spec.conv_layers()}
-    return sum(slot["steps"] * k[name] ** 2
-               for name, slot in counter.layers.items())
+def _fast_per_step(spec):
+    """Multiplies per step on the one-multiply route, by layer name."""
+    return {layer.name: 1 if layer.constrained else layer.kernel_size ** 2
+            for layer, _ in spec.conv_layers()}
 
 
 def cmd_bench(args):
@@ -192,18 +191,20 @@ def cmd_bench(args):
     if not filtered:
         raise DataError(f"no {ws}px window survives pruning on a {w}x{h} "
                         f"frame: nothing to time")
-    dense = _dense_multiplies(model.spec, counter)
+    # detection counts the dense route's steps; additions match on both
+    per_step = _fast_per_step(model.spec)
+    fast = sum(slot["steps"] * per_step[name]
+               for name, slot in counter.layers.items())
     print(f"sliding_windows {len(sliding)}")
     print(f"filtered_windows {filtered}")
     print(f"reduction {filtered / len(sliding):.4f}")
     print(f"windows_per_sec {filtered / elapsed:.1f}")
-    print(f"fast_multiplies {counter.multiplies}")
+    print(f"fast_multiplies {fast}")
     print(f"fast_additions {counter.additions}")
-    print(f"dense_multiplies {dense}")
+    print(f"dense_multiplies {counter.multiplies}")
     for layer, _ in model.spec.conv_layers():
         if layer.constrained:
-            per = counter.per_step_multiplies(layer.name)
-            print(f"per_step_multiplies {layer.name} {per:g}")
+            print(f"per_step_multiplies {layer.name} {per_step[layer.name]}")
     return 0
 
 

