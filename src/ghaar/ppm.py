@@ -87,25 +87,45 @@ def bilinear_resize(image, out_h, out_w):
     Works on (H, W) or (H, W, C) float or integer arrays and returns
     float64; callers round/cast as needed.
     """
-    img = np.asarray(image, dtype=np.float64)
+    return bilinear_band(image, out_h, out_w, (0, out_h), (0, out_w))
+
+
+def _taps(lo, hi, n_in, n_out):
+    """Source index pairs and weights of output samples lo..hi-1 on one
+    axis; each output depends on its own index only, so any range is the
+    same slice of the full axis."""
+    pos = (np.arange(lo, hi) + 0.5) * (n_in / n_out) - 0.5
+    pos = np.clip(pos, 0.0, n_in - 1)
+    i0 = np.floor(pos).astype(np.int64)
+    return i0, np.minimum(i0 + 1, n_in - 1), pos - i0
+
+
+def bilinear_band(image, out_h, out_w, rows, cols):
+    """Output rows [rows[0], rows[1]) and columns [cols[0], cols[1]) of
+    bilinear_resize(image, out_h, out_w), bit-equal to that slice.
+
+    The four corner samples are gathered in the source dtype and only they
+    are converted to float64 (exact for integer pixels), so a band costs
+    its own area, not the source's.
+    """
+    img = np.asarray(image)
     if out_h < 1 or out_w < 1:
         raise DataError(f"cannot resize to {out_h}x{out_w}")
     h, w = img.shape[:2]
-    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    ys = np.clip(ys, 0.0, h - 1)
-    xs = np.clip(xs, 0.0, w - 1)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
+    y0, y1, fy = _taps(*rows, h, out_h)
+    x0, x1, fx = _taps(*cols, w, out_w)
+    fy = fy[:, None]
+    fx = fx[None, :]
     if img.ndim == 3:
         fy = fy[..., None]
         fx = fx[..., None]
-    top = img[y0][:, x0] * (1 - fx) + img[y0][:, x1] * fx
-    bot = img[y1][:, x0] * (1 - fx) + img[y1][:, x1] * fx
+    top_rows, bot_rows = img[y0], img[y1]
+
+    def corner(src, xi):
+        return src[:, xi].astype(np.float64, copy=False)
+
+    top = corner(top_rows, x0) * (1 - fx) + corner(top_rows, x1) * fx
+    bot = corner(bot_rows, x0) * (1 - fx) + corner(bot_rows, x1) * fx
     return top * (1 - fy) + bot * fy
 
 

@@ -6,6 +6,13 @@ each level is responsible for.  Independently, a calibrated camera and
 physical scene ranges imply, for each window triple (x2D, y2D, d2D), a 3D
 position; windows whose implied position falls outside the configured
 world box are discarded.  The final candidate set is the intersection.
+
+final_windows takes the intersection on the grid axes before any
+resampling: on one level d2D is fixed, so the implied x3D depends on x2D
+alone and y3D on y2D alone, and the kept set is the product of one mask
+per axis.  Only the band of each level that holds kept windows is
+resampled.  build_pyramid, sliding_windows and perspective_filter are the
+same sieves applied one after the other to whole levels.
 """
 
 from dataclasses import dataclass
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ppm import bilinear_resize
+from .ppm import bilinear_band
 
 DEFAULT_WS = 48
 DEFAULT_STRIDE_FRAC = 0.3
@@ -34,7 +41,8 @@ class Window:
 @dataclass(frozen=True)
 class PyramidLevel:
     scale: float             # source size / level size
-    image: np.ndarray        # resampled (H, W, C) float64
+    image: np.ndarray        # resampled (H, W, C) pixels of the band
+    origin: tuple = (0, 0)   # (x, y) of the band's top-left on the level
 
 
 @dataclass(frozen=True)
@@ -84,31 +92,47 @@ class SceneRanges:
             raise ConfigError("physical object side must be positive")
 
 
-def build_pyramid(image, ws=DEFAULT_WS, ratio=DEFAULT_RATIO):
-    """Downscale by ratio^k until a level would drop below ws on a side."""
+def _level_sizes(image, ws, ratio):
+    """(scale, level height, level width) of each pyramid level, down to
+    the last one not below ws on a side."""
     if ratio <= 1:
         raise ConfigError(f"pyramid ratio must exceed 1, got {ratio}")
-    img = np.asarray(image)
-    h, w = img.shape[:2]
+    h, w = image.shape[:2]
     if min(h, w) < ws:
         raise DataError(f"image {w}x{h} is smaller than the {ws}px window")
-    levels = []
-    k = 0
+    sizes = []
     while True:
-        scale = ratio ** k
+        scale = ratio ** len(sizes)
         lh, lw = int(round(h / scale)), int(round(w / scale))
         if min(lh, lw) < ws:
-            break
-        if k == 0:
-            resized = img
-        else:
-            # levels stay uint8 images so crops feed the same input path
-            # as the source frame
-            resized = np.clip(np.round(bilinear_resize(img, lh, lw)),
-                              0, 255).astype(np.uint8)
-        levels.append(PyramidLevel(scale=scale, image=resized))
-        k += 1
-    return levels
+            return sizes
+        sizes.append((scale, lh, lw))
+
+
+def _level_band(image, scale, lh, lw, rows, cols):
+    """Rows [rows[0], rows[1]) x columns [cols[0], cols[1]) of the level
+    resampled to lh x lw; the source level (scale 1) is a view."""
+    if scale == 1:
+        return image[rows[0]:rows[1], cols[0]:cols[1]]
+    # levels stay uint8 images so crops feed the same input path as the
+    # source frame
+    return np.clip(np.round(bilinear_band(image, lh, lw, rows, cols)),
+                   0, 255).astype(np.uint8)
+
+
+def build_pyramid(image, ws=DEFAULT_WS, ratio=DEFAULT_RATIO):
+    """Downscale by ratio^k until a level would drop below ws on a side."""
+    img = np.asarray(image)
+    return [PyramidLevel(scale=scale,
+                         image=_level_band(img, scale, lh, lw,
+                                           (0, lh), (0, lw)))
+            for scale, lh, lw in _level_sizes(img, ws, ratio)]
+
+
+def _grid_step(ws, stride_frac):
+    if not 0 < stride_frac <= 1:
+        raise ConfigError(f"stride fraction must be in (0, 1], got {stride_frac}")
+    return int(round(stride_frac * ws))
 
 
 def _axis_positions(length, ws, step):
@@ -122,15 +146,23 @@ def sliding_windows(level: PyramidLevel, level_id: int, ws=DEFAULT_WS,
                     stride_frac=DEFAULT_STRIDE_FRAC):
     """Sparse grid over one level, stepped by round(stride_frac*ws) with a
     final flush row/column so the far edges are reachable."""
-    if not 0 < stride_frac <= 1:
-        raise ConfigError(f"stride fraction must be in (0, 1], got {stride_frac}")
+    step = _grid_step(ws, stride_frac)
     h, w = level.image.shape[:2]
     if min(h, w) < ws:
         return []
-    step = int(round(stride_frac * ws))
     xs = _axis_positions(w, ws, step)
     return [corner_window(level, level_id, x, y, ws)
             for y in _axis_positions(h, ws, step) for x in xs]
+
+
+def _implied_axes(x2d, y2d, d2d, cam: CameraModel, d3d: float):
+    """implied_3d's arithmetic; x2d and y2d may be arrays over one level's
+    grid axes, since d2d alone fixes the depth."""
+    w = cam.m11 * d3d / d2d
+    z3d = w - cam.m34
+    x3d = (x2d * w - cam.m13 * z3d - cam.m14) / cam.m11
+    y3d = (y2d * w - cam.m23 * z3d - cam.m24) / cam.m22
+    return x3d, y3d, z3d
 
 
 def implied_3d(window: Window, cam: CameraModel, d3d: float):
@@ -141,11 +173,7 @@ def implied_3d(window: Window, cam: CameraModel, d3d: float):
     """
     if window.d2d <= 0:
         raise DataError(f"window side must be positive, got {window.d2d}")
-    w = cam.m11 * d3d / window.d2d
-    z3d = w - cam.m34
-    x3d = (window.x2d * w - cam.m13 * z3d - cam.m14) / cam.m11
-    y3d = (window.y2d * w - cam.m23 * z3d - cam.m24) / cam.m22
-    return x3d, y3d, z3d
+    return _implied_axes(window.x2d, window.y2d, window.d2d, cam, d3d)
 
 
 def perspective_filter(windows, cam: CameraModel, ranges: SceneRanges):
@@ -165,14 +193,36 @@ def final_windows(image, cam=None, ranges=None, ws=DEFAULT_WS,
 
     Returns (windows, levels); windows are in deterministic level-major
     scan order.  Without a camera or ranges the sliding set passes through
-    untouched.
+    untouched.  The windows equal perspective_filter over sliding_windows
+    of build_pyramid, but each level only resamples the band its kept
+    windows cover (an empty band when it keeps none), so crop_window is
+    the way to read their pixels.
     """
-    levels = build_pyramid(image, ws, ratio)
-    wins = []
-    for k, level in enumerate(levels):
-        wins.extend(sliding_windows(level, k, ws, stride_frac))
-    if cam is not None and ranges is not None:
-        wins = perspective_filter(wins, cam, ranges)
+    img = np.asarray(image)
+    sizes = _level_sizes(img, ws, ratio)
+    step = _grid_step(ws, stride_frac)
+    wins, levels = [], []
+    for k, (scale, lh, lw) in enumerate(sizes):
+        xs = np.asarray(_axis_positions(lw, ws, step))
+        ys = np.asarray(_axis_positions(lh, ws, step))
+        if cam is not None and ranges is not None:
+            # corner_window's centre arithmetic, on the axes
+            x3d, y3d, _ = _implied_axes((xs + ws / 2) * scale,
+                                        (ys + ws / 2) * scale, ws * scale,
+                                        cam, ranges.d3d)
+            xs = xs[(ranges.x3d_min <= x3d) & (x3d <= ranges.x3d_max)]
+            ys = ys[(ranges.y3d_min <= y3d) & (y3d <= ranges.y3d_max)]
+        xs, ys = xs.tolist(), ys.tolist()
+        if xs and ys:
+            cols, rows = (xs[0], xs[-1] + ws), (ys[0], ys[-1] + ws)
+        else:
+            cols = rows = (0, 0)
+        level = PyramidLevel(
+            scale=scale, image=_level_band(img, scale, lh, lw, rows, cols),
+            origin=(cols[0], rows[0]))
+        levels.append(level)
+        wins.extend(corner_window(level, k, x, y, ws)
+                    for y in ys for x in xs)
     return wins, levels
 
 
@@ -185,10 +235,13 @@ def corner_window(level: PyramidLevel, level_id: int, x, y, ws=DEFAULT_WS):
 
 
 def crop_window(win: Window, levels, ws=DEFAULT_WS):
-    """The window's ws x ws pixel block from its own pyramid level."""
+    """The window's ws x ws pixel block from its own pyramid level, or
+    from the band of it the level holds; DataError if the block leaves
+    that band."""
     level = levels[win.level]
-    x = int(round(win.x2d / level.scale - ws / 2))
-    y = int(round(win.y2d / level.scale - ws / 2))
+    ox, oy = level.origin
+    x = int(round(win.x2d / level.scale - ws / 2)) - ox
+    y = int(round(win.y2d / level.scale - ws / 2)) - oy
     h, w = level.image.shape[:2]
     if not (0 <= x <= w - ws and 0 <= y <= h - ws):
         raise DataError(f"window at ({win.x2d}, {win.y2d}) leaves its level")

@@ -1,5 +1,7 @@
 """PPM I/O, sidecars, resizing, normalization."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,67 @@ def test_resize_gradient_preserved():
     wide = ppm.bilinear_resize(ramp, 4, 8)
     diffs = np.diff(wide[0])
     assert np.allclose(diffs, diffs[0])
+
+
+def float_first_resize(image, out_h, out_w):
+    """Reference bilinear resize: the whole source converted to float64
+    first, then the corners gathered from it."""
+    img = np.asarray(image, dtype=np.float64)
+    h, w = img.shape[:2]
+    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1)
+    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    if img.ndim == 3:
+        fy = fy[..., None]
+        fx = fx[..., None]
+    top = img[y0][:, x0] * (1 - fx) + img[y0][:, x1] * fx
+    bot = img[y1][:, x0] * (1 - fx) + img[y1][:, x1] * fx
+    return top * (1 - fy) + bot * fy
+
+
+@pytest.mark.parametrize("shape", [(23, 31), (23, 31, 3)])
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+def test_band_is_a_slice_of_the_full_resize(shape, dtype):
+    rng = np.random.default_rng(3)
+    if dtype is np.uint8:
+        img = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    else:
+        img = rng.uniform(-20.0, 300.0, size=shape)
+    for out_h, out_w in [(16, 22), (23, 31), (40, 57), (1, 1)]:
+        full = ppm.bilinear_resize(img, out_h, out_w)
+        assert full.dtype == np.float64
+        assert np.array_equal(full, float_first_resize(img, out_h, out_w))
+        for _ in range(25):
+            r0, r1 = sorted(int(v) for v in rng.integers(0, out_h + 1, 2))
+            c0, c1 = sorted(int(v) for v in rng.integers(0, out_w + 1, 2))
+            band = ppm.bilinear_band(img, out_h, out_w, (r0, r1), (c0, c1))
+            assert band.dtype == np.float64
+            assert band.shape == full[r0:r1, c0:c1].shape
+            assert np.array_equal(band, full[r0:r1, c0:c1])
+
+
+def test_synth_frames_match_float_first_resize(tmp_path, monkeypatch):
+    """synth_generate resizes its background texture; the frames it writes
+    are byte-identical to those of the float-first resize."""
+    from ghaar import synth as sy
+    from ghaar.windows import CameraModel, SceneRanges
+    cam = CameraModel(m11=240.0, m22=240.0, m13=80.0, m23=60.0)
+    ranges = SceneRanges(-2.8, 2.8, -2.0, 2.0, 1.0)
+    st = sy.SynthSettings(n_images=3, image_w=160, image_h=120, ws=32)
+    sy.synth_generate(st, cam, ranges, tmp_path / "band", seed=7)
+    monkeypatch.setattr(sy, "bilinear_resize", float_first_resize)
+    sy.synth_generate(st, cam, ranges, tmp_path / "float", seed=7)
+    names = sorted(os.listdir(tmp_path / "band"))
+    assert names == sorted(os.listdir(tmp_path / "float"))
+    assert any(n.endswith(".ppm") for n in names)
+    for name in names:
+        assert ((tmp_path / "band" / name).read_bytes()
+                == (tmp_path / "float" / name).read_bytes())
 
 
 def test_normalize_image():

@@ -184,6 +184,95 @@ def test_crop_window_reads_level_pixels():
     assert np.array_equal(crop, img[:48, :48])
     with pytest.raises(DataError):
         wd.crop_window(wd.Window(1000.0, 10.0, 48.0, 0), levels)
+    # a band level holds pixels [20, 80) x [30, 90) of the source: its
+    # windows read through the origin, and one left or right of the band
+    # is refused, never wrapped into a negative numpy slice
+    band = [wd.PyramidLevel(scale=1.0, image=img[30:90, 20:80],
+                            origin=(20, 30))]
+    inside = wd.corner_window(band[0], 0, 25, 40, ws=48)
+    assert np.array_equal(wd.crop_window(inside, band, ws=48),
+                          img[40:88, 25:73])
+    for x, y in ((0, 40), (19, 40), (25, 29), (33, 40), (25, 43)):
+        with pytest.raises(DataError):
+            wd.crop_window(wd.corner_window(band[0], 0, x, y, ws=48), band,
+                           ws=48)
+    empty = [wd.PyramidLevel(scale=1.0, image=img[:0, :0])]
+    with pytest.raises(DataError):
+        wd.crop_window(wins[0], empty, ws=48)
+
+
+def reference_windows(image, cam, ranges, ws, stride_frac, ratio):
+    """The three sieves one after the other on whole levels."""
+    levels = wd.build_pyramid(image, ws, ratio)
+    wins = [win for k, level in enumerate(levels)
+            for win in wd.sliding_windows(level, k, ws, stride_frac)]
+    if cam is not None and ranges is not None:
+        wins = wd.perspective_filter(wins, cam, ranges)
+    return wins, levels
+
+
+def check_against_reference(image, cam, ranges, ws=32, stride_frac=0.3,
+                            ratio=1.4):
+    """final_windows yields the reference windows in the reference order,
+    with the same field types, and bit-equal crops; returns (windows, number
+    of levels whose band is empty)."""
+    wins, levels = wd.final_windows(image, cam, ranges, ws, stride_frac,
+                                    ratio)
+    ref, ref_levels = reference_windows(image, cam, ranges, ws, stride_frac,
+                                        ratio)
+    assert len(levels) == len(ref_levels)
+    assert wins == ref
+    assert ([tuple(map(type, (w.x2d, w.y2d, w.d2d, w.level))) for w in wins]
+            == [tuple(map(type, (w.x2d, w.y2d, w.d2d, w.level))) for w in ref])
+    for win in wins:
+        got = wd.crop_window(win, levels, ws)
+        want = wd.crop_window(win, ref_levels, ws)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    return wins, sum(level.image.size == 0 for level in levels)
+
+
+def test_final_windows_match_reference_on_crowd_geometry():
+    img = np.random.default_rng(14).integers(0, 256, size=(768, 1024, 3),
+                                             dtype=np.uint8)
+    cam = wd.CameraModel(m11=1536.0, m22=1536.0, m13=512.0, m23=384.0)
+    ranges = wd.SceneRanges(-2.8, 2.8, -2.0, 2.0, 1.0)
+    wins, _ = check_against_reference(img, cam, ranges)
+    assert len(wins) == 1543
+
+
+def test_final_windows_match_reference_on_readme_geometry():
+    img = np.random.default_rng(15).integers(0, 256, size=(120, 160, 3),
+                                             dtype=np.uint8)
+    cam = wd.CameraModel(m11=240.0, m22=240.0, m13=80.0, m23=60.0)
+    ranges = wd.SceneRanges(-2.8, 2.8, -2.0, 2.0, 1.0)
+    check_against_reference(img, cam, ranges)
+    # without geometry every grid window is kept, float pixels included
+    check_against_reference(img, None, None)
+    check_against_reference(img.astype(np.float64) + 0.25, cam, None)
+
+
+def test_final_windows_match_reference_on_random_cameras():
+    rng = np.random.default_rng(12)
+    empty_levels = kept = 0
+    for _ in range(8):
+        h, w = int(rng.integers(60, 260)), int(rng.integers(60, 340))
+        cam = wd.CameraModel(m11=rng.uniform(150, 500),
+                             m22=rng.uniform(150, 500),
+                             m13=rng.uniform(0, w), m23=rng.uniform(0, h),
+                             m14=rng.uniform(-60, 60),
+                             m24=rng.uniform(-60, 60),
+                             m34=rng.uniform(-1.0, 2.0))
+        x0, y0 = rng.uniform(-3, 1), rng.uniform(-2, 0.5)
+        ranges = wd.SceneRanges(x0, x0 + rng.uniform(0.5, 4),
+                                y0, y0 + rng.uniform(0.3, 2.5),
+                                rng.uniform(0.5, 1.5))
+        img = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+        wins, empty = check_against_reference(img, cam, ranges, ws=16)
+        empty_levels += empty
+        kept += len(wins)
+    # the draw covers levels that keep nothing and levels that keep some
+    assert empty_levels > 0 and kept > 0
 
 
 def test_scene_ranges_validation():
