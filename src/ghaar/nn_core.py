@@ -9,8 +9,11 @@ Inside the layer walk (run_network) activations are channel-major,
 (C, N, H, W): the im2col matrix (C*k*k, N*H*W) is built in one copy, and
 the conv GEMM's (O, N*H*W) output is the next layer's input as it is.  The
 public functions keep the (N, C, H, W) contract and transpose (as views)
-at their edges; backward runs sample-major over views of the walk's
-records.
+at their edges.  A recording walk keeps every step's output, plus a
+conv's im2col columns or a pool's input; backward runs sample-major over
+views of those records.  There is one 2x2 max pool: forward takes the max
+of the four strided block cells, and backward routes each gradient to the
+first of those cells that holds it.
 """
 
 from dataclasses import dataclass, field
@@ -267,8 +270,9 @@ def _conv_backward(dout, cols, lp: LayerParams, want_dx):
 def _maxpool_values(x):
     """2x2 max over the last two axes as a max of the four block cells.
 
-    np.maximum(later, earlier) keeps its second argument on a tie, so the
-    values (signed zeros included) equal _maxpool_forward's first-cell pick.
+    np.maximum(later, earlier) keeps its second argument on a tie, so a
+    tied block (signed zeros included) yields its first cell's value, in
+    the order (0,0), (0,1), (1,0), (1,1); a block holding a NaN yields NaN.
     """
     out = np.maximum(x[..., ::2, 1::2], x[..., ::2, ::2])
     np.maximum(x[..., 1::2, ::2], out, out=out)
@@ -276,25 +280,22 @@ def _maxpool_values(x):
     return out
 
 
-def _maxpool_forward(x):
-    """(pooled, argmax within each 2x2 block); ties go to the first cell.
-
-    Pools the last two axes of any 4-d array; backward needs the argmax.
+def _maxpool_backward(dout, x, out):
+    """Route each pooled gradient to the first cell of its 2x2 block, in
+    _maxpool_values' order, that holds the max (in a NaN block, its first
+    NaN).  x is the pool's input and out its output, shaped like dout; the
+    last two axes are pooled.  dx is a fresh C-contiguous array shaped
+    like x.
     """
-    n, c, h, w = x.shape
-    blocks = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    flat = blocks.reshape(n, c, h // 2, w // 2, 4)
-    arg = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    return out, arg
-
-
-def _maxpool_backward(dout, arg, x_shape):
-    n, c, h, w = x_shape
-    dflat = np.zeros((n, c, h // 2, w // 2, 4))
-    np.put_along_axis(dflat, arg[..., None], dout[..., None], axis=-1)
-    blocks = dflat.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return blocks.reshape(n, c, h, w)
+    dx = np.zeros(x.shape)
+    free = np.ones(out.shape, dtype=bool)
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        cell = x[..., i::2, j::2]
+        hit = (cell == out) | np.isnan(cell)
+        hit &= free
+        free &= ~hit
+        dx[..., i::2, j::2] = np.where(hit, dout, 0.0)
+    return dx
 
 
 def softmax(logits):
@@ -319,10 +320,10 @@ def run_network(spec: NetworkSpec, x, conv, record=None):
     here, with or without record, which receives one
     (layer, input shape, output, aux) step per layer: the input shape is
     the channel-major one ((C, N, H, W), or (N, C) after averaging); output
-    is the conv's activated output, None on other layers; aux is the conv's
-    aux, the pool's input (backward's argmax) or the softmax output, in the
-    layout of its input.  Softmax normalizes over channels: each row of
-    (N, C), or each position of (C, N, H, W) maps.
+    is what the step hands on (a conv's activated output, the pooled map,
+    the averaged rows, the probabilities); aux is the conv's aux or the
+    pool's channel-major input, else None.  Softmax normalizes over
+    channels: each row of (N, C), or each position of (C, N, H, W) maps.
     Returns (loc, probs).
     """
     x = _as_batch(x)
@@ -332,7 +333,7 @@ def run_network(spec: NetworkSpec, x, conv, record=None):
             f"({spec.in_channels}, {spec.input_size}, {spec.input_size})")
 
     def step(layer, x):
-        out = aux = None
+        aux = None
         if layer.kind == "conv":
             out, aux = conv(layer, x)
             if layer.relu:
@@ -342,11 +343,11 @@ def run_network(spec: NetworkSpec, x, conv, record=None):
         elif layer.kind == "gap":
             out = x.mean(axis=(2, 3)).T
         elif x.ndim == 2:
-            out = aux = softmax(x)
+            out = softmax(x)
         else:                           # per-position softmax over channels
-            out = aux = softmax(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+            out = softmax(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
         if record is not None:
-            record((layer, x.shape, out if layer.kind == "conv" else None, aux))
+            record((layer, x.shape, out, aux))
         return out
 
     def run(seq, x):
@@ -384,7 +385,8 @@ def backward(params: ModelParams, cache, grad_loc, grad_cla):
     gradients only.  A conv that reads the network input forms no input
     gradient, since nothing reads it.  Gradients flow sample-major
     (N, C, H, W), over sample-major views of the channel-major forward
-    records; a pool's argmax is taken from its recorded input.
+    records; a pool routes each gradient to the first cell of its block
+    that holds the recorded output, found in its recorded input.
     """
     if cache is None or "steps" not in cache:
         raise ConfigError("backward needs the cache from a matching forward call")
@@ -401,21 +403,19 @@ def backward(params: ModelParams, cache, grad_loc, grad_cla):
     def run_back(lo, hi, dx):
         for i in range(hi - 1, lo - 1, -1):
             layer, x_shape, out, aux = steps[i]
+            if out.ndim == 4:           # a sample-major view of the maps
+                out = out.transpose(1, 0, 2, 3)
             if layer.kind == "softmax":
-                if aux.ndim == 4:
-                    aux = aux.transpose(1, 0, 2, 3)
-                dot = (dx * aux).sum(axis=1, keepdims=True)
-                dx = aux * (dx - dot)
+                dot = (dx * out).sum(axis=1, keepdims=True)
+                dx = out * (dx - dot)
             elif layer.kind == "gap":
                 c, n, h, w = x_shape
                 dx = np.broadcast_to(dx[:, :, None, None] / (h * w), (n, c, h, w))
             elif layer.kind == "maxpool":
-                c, n, h, w = x_shape
-                arg = _maxpool_forward(aux)[1].transpose(1, 0, 2, 3)
-                dx = _maxpool_backward(dx, arg, (n, c, h, w))
+                dx = _maxpool_backward(dx, aux.transpose(1, 0, 2, 3), out)
             else:
                 if layer.relu:
-                    dx = dx * (out.transpose(1, 0, 2, 3) > 0)
+                    dx = dx * (out > 0)
                 lp = params.layers[layer.name]
                 dx, dw, db = _conv_backward(dx, aux, lp,
                                             want_dx=i not in input_steps)

@@ -138,8 +138,8 @@ def normalize_image(image):
     return np.moveaxis(img, -1, -3) / 255.0 - 0.5
 
 
-def draw_box(image, box, color, thickness=1):
-    """Overwrite the box outline on an (H, W, 3) uint8 image, in place."""
+def draw_box(image, box, color):
+    """Overwrite the 1-px box outline on an (H, W, 3) uint8 image, in place."""
     h, w, _ = image.shape
     x1, y1, x2, y2 = (int(round(v)) for v in box)
     x1, x2 = max(x1, 0), min(x2, w - 1)
@@ -147,11 +147,8 @@ def draw_box(image, box, color, thickness=1):
     if x1 > x2 or y1 > y2:
         return image
     col = np.asarray(color, dtype=np.uint8)
-    for t in range(thickness):
-        ya, yb = min(y1 + t, h - 1), max(y2 - t, 0)
-        xa, xb = min(x1 + t, w - 1), max(x2 - t, 0)
-        image[ya, x1:x2 + 1] = col
-        image[yb, x1:x2 + 1] = col
-        image[y1:y2 + 1, xa] = col
-        image[y1:y2 + 1, xb] = col
+    image[y1, x1:x2 + 1] = col
+    image[y2, x1:x2 + 1] = col
+    image[y1:y2 + 1, x1] = col
+    image[y1:y2 + 1, x2] = col
     return image

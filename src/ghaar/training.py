@@ -31,6 +31,8 @@ from . import haar_space as hs
 from . import nn_core as nn
 from .ppm import normalize_image
 
+EVAL_BATCH = 256        # held-out windows per forward call
+
 
 @dataclass
 class TrainConfig:
@@ -306,15 +308,15 @@ def _run_phase(params, space, phase, data, cfg, rng, epochs, epoch_offset,
     return params
 
 
-def evaluate_windows(params, x, loc_t, labels, batch_size=256):
+def evaluate_windows(params, x, loc_t, labels):
     """Window-level error rates on a held-out sample set."""
     labels = np.asarray(labels)
     loc_t = np.asarray(loc_t, dtype=np.float64)
     wrong = 0
     loc_sq = 0.0
     npos = 0
-    for lo in range(0, x.shape[0], batch_size):
-        sl = slice(lo, lo + batch_size)
+    for lo in range(0, x.shape[0], EVAL_BATCH):
+        sl = slice(lo, lo + EVAL_BATCH)
         loc, probs, _ = nn.forward(params, _as_batch(x, sl), want_cache=False)
         pred = probs.argmax(axis=1)
         wrong += int((pred != labels[sl]).sum())
@@ -385,22 +387,10 @@ def fit(x, loc_target, labels, cfg: TrainConfig, val=None, progress=None):
     return params, reduced, rows
 
 
-LOG_FIELDS = ["epoch", "split", "er_cla", "er_loc", "mean_residual", "lr"]
-
-
 def write_log_csv(rows, path):
-    """One train line per epoch, plus a val line when a held-out set ran."""
+    """fit's rows as they are: one line per epoch, the row keys as columns
+    (val_err_cla and val_err_loc only when a held-out set ran)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=LOG_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow({"epoch": row["epoch"], "split": "train",
-                             "er_cla": row["err_cla"], "er_loc": row["loc"],
-                             "mean_residual": row["mean_residual"],
-                             "lr": row["lr"]})
-            if "val_err_cla" in row:
-                writer.writerow({"epoch": row["epoch"], "split": "val",
-                                 "er_cla": row["val_err_cla"],
-                                 "er_loc": row["val_err_loc"],
-                                 "mean_residual": row["mean_residual"],
-                                 "lr": row["lr"]})
+        writer.writerows(rows)

@@ -27,6 +27,7 @@ DEFAULT_STRIDE_FRAC = 0.3
 DEFAULT_RATIO = 1.4      # 0.7 / 0.5: levels hand off exactly at the band edges
 RS_LO = 0.5
 RS_HI = 0.7
+COVERAGE_SIDE_STEP = 0.25   # px between the object sides coverage_verify sweeps
 
 
 @dataclass(frozen=True)
@@ -285,12 +286,11 @@ def _axis_margin(canvas, side, ws, step, scale):
 
 
 def coverage_verify(rs_lo=RS_LO, rs_hi=RS_HI, stride_frac=DEFAULT_STRIDE_FRAC,
-                    ratio=DEFAULT_RATIO, ws=DEFAULT_WS, canvas=512,
-                    size_step=0.25):
+                    ratio=DEFAULT_RATIO, ws=DEFAULT_WS, canvas=512):
     """Exhaustive sweep of the containment guarantee.
 
-    For every object side with size ratio in [rs_lo, rs_hi] (stepped at
-    sub-pixel resolution) and every position on the canvas, some pyramid
+    For every object side with size ratio in [rs_lo, rs_hi] (stepped by
+    COVERAGE_SIDE_STEP px) and every position on the canvas, some pyramid
     window must fully contain the object.  Containment of an axis-aligned
     square is separable, so each axis is swept independently and the worst
     margin is the minimum over both.
@@ -303,7 +303,7 @@ def coverage_verify(rs_lo=RS_LO, rs_hi=RS_HI, stride_frac=DEFAULT_STRIDE_FRAC,
             "levels would escape both bands")
     step = int(round(stride_frac * ws))
     worst = (np.inf, 0.0, "x")
-    sides = np.arange(rs_lo * ws, rs_hi * ws + 1e-9, size_step)
+    sides = np.arange(rs_lo * ws, rs_hi * ws + 1e-9, COVERAGE_SIDE_STEP)
     if sides[-1] < rs_hi * ws - 1e-9:
         sides = np.append(sides, rs_hi * ws)  # the band edge is the worst case
     # levels that can matter for the band: rs at level k is side/(ws*ratio^k)

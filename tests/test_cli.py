@@ -106,7 +106,8 @@ def test_train_outputs(workspace):
     out = workspace["out"]
     assert workspace["model"].exists()
     log = (out / "log.csv").read_text().splitlines()
-    assert log[0] == "epoch,split,er_cla,er_loc,mean_residual,lr"
+    # fit's row keys; no held-out set ran, so no val_* columns
+    assert log[0] == "epoch,phase,lr,space,loss,loc,cla,reg,err_cla,mean_residual"
     assert len(log) >= 2
 
 

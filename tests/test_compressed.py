@@ -394,16 +394,17 @@ def test_training_and_detection_run_one_forward():
             assert a.shape == b.shape
             assert (np.ascontiguousarray(a).tobytes()
                     == np.ascontiguousarray(b).tobytes())
-    # a recorded pool step carries its channel-major input: the activated
-    # output of the conv before it
+    # a recorded pool step carries its pooled output and its channel-major
+    # input, the activated output of the conv before it
     steps = cache["steps"]
     pools = [i for i, (layer, *_) in enumerate(steps)
              if layer.kind == "maxpool"]
     assert len(pools) == 4
     for i in pools:
-        _, shape, _, pool_in = steps[i]
+        _, shape, pooled, pool_in = steps[i]
         assert pool_in.shape == shape
         assert np.array_equal(pool_in, steps[i - 1][2])
+        assert pooled.tobytes() == nn._maxpool_values(pool_in).tobytes()
 
 
 def test_one_multiply_per_constrained_step():

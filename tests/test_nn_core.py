@@ -82,8 +82,7 @@ def test_maxpool_values_and_ties():
 
 def test_maxpool_backward_routes_to_first_max():
     x = np.full((1, 1, 2, 2), 2.0)
-    out, arg = nn._maxpool_forward(x)
-    dx = nn._maxpool_backward(np.ones((1, 1, 1, 1)), arg, x.shape)
+    dx = nn._maxpool_backward(np.ones((1, 1, 1, 1)), x, nn._maxpool_values(x))
     # all four tie; gradient goes to the first scanned cell only
     assert dx.sum() == 1.0
     assert dx[0, 0, 0, 0] == 1.0
@@ -98,6 +97,26 @@ def same_bits(a, b):
                                b[~nan].view(np.uint64)))
 
 
+def argmax_pool(x):
+    """Oracle 2x2 max pool of an (N, C, H, W) array: (pooled, argmax within
+    each block, cells scanned row by row).  argmax takes a tie's first cell
+    and a block's first NaN."""
+    n, c, h, w = x.shape
+    blocks = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    flat = blocks.reshape(n, c, h // 2, w // 2, 4)
+    arg = flat.argmax(axis=-1)
+    return np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0], arg
+
+
+def argmax_pool_backward(dout, arg, x_shape):
+    """Oracle pool gradient: scatter dout to the argmax cells."""
+    n, c, h, w = x_shape
+    dflat = np.zeros((n, c, h // 2, w // 2, 4))
+    np.put_along_axis(dflat, arg[..., None], dout[..., None], axis=-1)
+    blocks = dflat.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return blocks.reshape(n, c, h, w)
+
+
 def pool_only_spec(c, side):
     return nn.NetworkSpec(input_size=side, in_channels=c, classes=c,
                           shared_trunk=(nn.LayerSpec("pool1", "maxpool"),),
@@ -107,25 +126,36 @@ def pool_only_spec(c, side):
 # few distinct values, so that blocks often hold ties
 POOL_CELLS = (st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
               | st.floats(allow_nan=False))
+POOL_INPUTS = arrays(np.float64,
+                     st.tuples(st.integers(1, 3), st.integers(1, 3),
+                               st.integers(1, 3).map(lambda v: 2 * v)
+                               ).map(lambda t: t + t[2:]),
+                     elements=POOL_CELLS)
+POOL_EXAMPLES = (np.full((1, 1, 2, 2), 2.0),
+                 np.array([[[[-0.0, 0.0], [0.0, 0.0]]]]),
+                 np.array([[[[0.0, -0.0], [-0.0, -0.0]]]]),
+                 np.array([[[[-1.0, -0.0], [0.0, -0.0]]]]),
+                 np.array([[[[1.0, np.nan], [3.0, -1.0]]]]),
+                 np.array([[[[np.nan, 5.0], [np.inf, np.nan]]]]))
+
+
+def pool_examples(**fixed):
+    """The tie, signed-zero and NaN blocks above as examples of a test."""
+    def wrap(test):
+        for x in POOL_EXAMPLES:
+            test = example(x=x, **fixed)(test)
+        return test
+    return wrap
 
 
 @settings(max_examples=150, deadline=None)
-@given(x=arrays(np.float64,
-                st.tuples(st.integers(1, 3), st.integers(1, 3),
-                          st.integers(1, 3).map(lambda v: 2 * v)
-                          ).map(lambda t: t + t[2:]),
-                elements=POOL_CELLS))
-@example(x=np.full((1, 1, 2, 2), 2.0))
-@example(x=np.array([[[[-0.0, 0.0], [0.0, 0.0]]]]))
-@example(x=np.array([[[[0.0, -0.0], [-0.0, -0.0]]]]))
-@example(x=np.array([[[[-1.0, -0.0], [0.0, -0.0]]]]))
-@example(x=np.array([[[[1.0, np.nan], [3.0, -1.0]]]]))
-@example(x=np.array([[[[np.nan, 5.0], [np.inf, np.nan]]]]))
+@given(x=POOL_INPUTS)
+@pool_examples()
 def test_inference_pool_equals_argmax_pool(x):
-    want, _ = nn._maxpool_forward(x)
+    want, _ = argmax_pool(x)
     assert same_bits(nn._maxpool_values(x), want)
     # through the layer walk: the plain max with or without a record hook,
-    # which receives the pool's channel-major input for backward's argmax
+    # which receives the pooled map and the pool's input, channel-major
     spec = pool_only_spec(x.shape[1], x.shape[2])
     plain, _ = nn.run_network(spec, x, conv=None)
     steps = []
@@ -134,8 +164,29 @@ def test_inference_pool_equals_argmax_pool(x):
     assert same_bits(recorded, want)
     (layer, shape, out, pool_in), = steps
     assert shape == (x.shape[1], x.shape[0]) + x.shape[2:]
-    assert out is None
+    assert same_bits(out, want.transpose(1, 0, 2, 3))
     assert same_bits(pool_in, x.transpose(1, 0, 2, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=POOL_INPUTS, seed=st.integers(0, 2**32 - 1))
+@pool_examples(seed=0)
+def test_maxpool_backward_equals_argmax_scatter(x, seed):
+    # gradients with signed zeros, which must keep their bits
+    rng = np.random.default_rng(seed)
+    n, c, h, w = x.shape
+    shape = (n, c, h // 2, w // 2)
+    dout = np.where(rng.random(shape) < 0.5,
+                    rng.choice([0.0, -0.0, 1.0, -2.5], size=shape),
+                    rng.normal(size=shape))
+    # as backward calls it: sample-major views of the channel-major record
+    record = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
+    pooled = nn._maxpool_values(record)
+    got = nn._maxpool_backward(dout, record.transpose(1, 0, 2, 3),
+                               pooled.transpose(1, 0, 2, 3))
+    want = argmax_pool_backward(dout, argmax_pool(x)[1], x.shape)
+    assert got.flags.c_contiguous
+    assert same_bits(got, want)
 
 
 def test_softmax_properties():

@@ -406,9 +406,9 @@ def test_write_log_csv(tmp_path):
     path = tmp_path / "log.csv"
     tr.write_log_csv(rows, path)
     text = path.read_text().splitlines()
-    assert text[0] == "epoch,split,er_cla,er_loc,mean_residual,lr"
-    assert text[1] == "0,train,0.25,0.4,0.0,0.1"
-    assert text[2] == "0,val,0.5,0.1,0.0,0.1"
+    assert text == ["epoch,phase,lr,space,loss,loc,cla,reg,err_cla,"
+                    "mean_residual,val_err_cla,val_err_loc",
+                    "0,A,0.1,256,1.0,0.4,0.6,0.0,0.25,0.0,0.5,0.1"]
 
 
 def test_fit_accepts_uint8_patches():
