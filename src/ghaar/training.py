@@ -5,7 +5,7 @@ sign-pattern manifold w = pattern * factor.  Training keeps a full-precision
 accumulator per constrained slice alongside that projected form: a step runs
 detection's forward, then backward, through the projected kernels, applies
 the gradients straight through to the accumulators (plus the smooth-min
-pull toward the pattern space, evaluated at the accumulator), then
+pull toward the pattern space, evaluated on the accumulator's unit rows), then
 re-projects each accumulator onto its nearest pattern to refresh the
 (pattern, factor) form.
 The network spec alone says which layers are constrained.  constrain_params
@@ -190,6 +190,26 @@ def _pulled(params, m):
             if layer.kernel_size == m]
 
 
+def _unit_pull(flat, signs, phi: float, q: int):
+    """The smooth-min pull on the unit rows w/|w| of flat (J, m*m).
+
+    On raw rows the residual scales with |w|^2, so the cheapest way down
+    is w -> 0; on unit rows it is a smooth-min of 1 - cos^2 between w and
+    the patterns, and leaves the scale to the factor.  The gradient is
+    mapped back through w/|w|: (g - (g.u)u) / |w|, orthogonal to w.  Zero
+    rows have no direction and get no pull.  Returns (value, grad) like
+    _regularizer_batch.
+    """
+    norm = np.sqrt((flat * flat).sum(axis=1))
+    live = norm > 0
+    unit = flat[live] / norm[live, None]
+    value, g = _regularizer_batch(unit, signs, phi, q)
+    grad = np.zeros_like(flat)
+    grad[live] = (g - (g * unit).sum(axis=1, keepdims=True) * unit) \
+        / norm[live, None]
+    return value, grad
+
+
 def train_step(params, x, loc_target, labels, space, cfg: TrainConfig, lr: float):
     """One SGD step over a batch, constrained where params.spec says so.
 
@@ -218,8 +238,8 @@ def train_step(params, x, loc_target, labels, space, cfg: TrainConfig, lr: float
         mm = space.m * space.m
         for name, base in _pulled(params, space.m):
             o, c, k, _ = base.shape
-            rv, rg = _regularizer_batch(base.reshape(o * c, mm),
-                                        space.signs, cfg.phi, cfg.q)
+            rv, rg = _unit_pull(base.reshape(o * c, mm), space.signs,
+                                cfg.phi, cfg.q)
             reg_value += rv
             dw, db = grads[name]
             grads[name] = (dw + rg.reshape(o, c, k, k), db)

@@ -145,6 +145,33 @@ def test_regularizer_batch_matches_single():
         assert np.allclose(grads[i].reshape(3, 3), g, atol=1e-12)
 
 
+def test_unit_pull_is_scale_free_and_skips_zero_rows():
+    # the step's pull: the smooth-min on w/|w|, so it cannot shrink w
+    space = hs.enumerate_space(3)
+    rng = np.random.default_rng(5)
+    flat = rng.normal(size=(5, 9))
+    flat[2] = 0.0
+    value, grad = tr._unit_pull(flat, space.signs, 0.3, 8)
+    unit = flat[[0, 1, 3, 4]] / np.linalg.norm(flat[[0, 1, 3, 4]], axis=1)[:, None]
+    assert value == pytest.approx(
+        tr._regularizer_batch(unit, space.signs, 0.3, 8)[0])
+    assert value == pytest.approx(
+        tr._unit_pull(7.0 * flat, space.signs, 0.3, 8)[0])
+    assert (grad[2] == 0.0).all()
+    assert np.abs((grad * flat).sum(axis=1)).max() < 1e-12
+    h = 1e-6
+    fd = np.zeros_like(flat)
+    for idx in np.ndindex(*flat.shape):
+        if idx[0] == 2:
+            continue
+        up, down = flat.copy(), flat.copy()
+        up[idx] += h
+        down[idx] -= h
+        fd[idx] = (tr._unit_pull(up, space.signs, 0.3, 8)[0]
+                   - tr._unit_pull(down, space.signs, 0.3, 8)[0]) / (2 * h)
+    assert np.abs(fd - grad).max() / np.abs(grad).max() < 1e-5
+
+
 def test_losses():
     probs = np.array([[0.7, 0.3], [0.2, 0.8]])
     value, grad = tr.cla_loss(probs, [0, 1])
@@ -285,7 +312,7 @@ def test_diverging_fit_raises_on_first_failing_step(monkeypatch):
     x, loc_t, labels = toy_data(24, seed=4)
     with pytest.raises(TrainingError), np.errstate(over="ignore",
                                                    invalid="ignore"):
-        tr.fit(x, loc_t, labels, small_cfg(lr=1e6, epochs=4))
+        tr.fit(x, loc_t, labels, small_cfg(lr=1e300, epochs=4))
     assert outcomes.count("raised") == 1
     assert outcomes[-1] == "raised"
 
