@@ -10,16 +10,17 @@ Inside the layer walk (run_network) activations are channel-major,
 the conv GEMM's (O, N*H*W) output is the next layer's input as it is.  The
 public functions keep the (N, C, H, W) contract and transpose (as views)
 at their edges.  A recording walk keeps every step's output, plus a
-conv's im2col columns or a pool's input; backward runs sample-major over
-views of those records.  There is one 2x2 max pool: forward takes the max
-of the four strided block cells, and backward routes each gradient to the
-first of those cells that holds it.
+conv's im2col columns or a pool's input, and backward runs channel-major
+on those records as they are: a conv's weight gradient is one GEMM of its
+output gradient against its recorded columns, and its input gradient the
+forward conv of the flipped kernels.  There is one 2x2 max pool: forward
+takes the max of the four strided block cells, and backward routes each
+gradient to the first of those cells that holds it.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError
 
@@ -208,40 +209,38 @@ def _im2col(x, k, pad):
     """(C, N, H, W) -> columns (C*k*k, N*Ho*Wo) for stride-1 windows.
 
     Row c*k*k + i*k + j holds input channel c shifted by kernel cell (i, j);
-    the columns run over windows, then positions.  One copy (none for a
-    contiguous 1x1 input).
+    the columns run over windows, then positions.  Each shifted slice is
+    copied once into the column array and only the border strips it does
+    not reach are zeroed (no padded copy of x); a contiguous 1x1 input is
+    its own columns.
     """
-    c, n = x.shape[:2]
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    view = sliding_window_view(x, (k, k), axis=(2, 3))   # (C, N, Ho, Wo, k, k)
-    ho, wo = view.shape[2], view.shape[3]
-    cols = np.ascontiguousarray(view.transpose(0, 4, 5, 1, 2, 3))
+    c, n, h, w = x.shape
+    if k == 1:
+        return x.reshape(c, n * h * w), h, w
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    cols = np.empty((c, k, k, n, ho, wo))
+    for i in range(k):
+        r0, r1 = max(0, pad - i), min(ho, h + pad - i)
+        for j in range(k):
+            c0, c1 = max(0, pad - j), min(wo, w + pad - j)
+            cell = cols[:, i, j]
+            cell[..., r0:r1, c0:c1] = x[..., r0 + i - pad:r1 + i - pad,
+                                        c0 + j - pad:c1 + j - pad]
+            if r0:
+                cell[..., :r0, :] = 0.0
+            if r1 < ho:
+                cell[..., r1:, :] = 0.0
+            if c0:
+                cell[..., :c0] = 0.0
+            if c1 < wo:
+                cell[..., c1:] = 0.0
     return cols.reshape(c * k * k, n * ho * wo), ho, wo
-
-
-def conv2d_dense(x, kernels, bias=None):
-    """Stride-1 cross-correlation; zero padding keeps 3x3 output same-sized.
-
-    x is (N, C, H, W); 1x1 kernels get no padding.  Returns the (N, O, H, W)
-    activation map.
-    """
-    x = _as_batch(x)
-    kernels = np.asarray(kernels, dtype=np.float64)
-    o, c, k, k2 = kernels.shape
-    if k != k2 or k % 2 == 0:
-        raise DimensionError(f"kernel spatial size must be odd and square, got {k}x{k2}")
-    if x.shape[1] != c:
-        raise DimensionError(f"input has {x.shape[1]} channels, kernels expect {c}")
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
-    out, _ = _conv_forward(x.transpose(1, 0, 2, 3), kernels, bias)
-    return out.transpose(1, 0, 2, 3)
 
 
 def _conv_forward(x, kernels, bias):
     """(C, N, H, W) conv via im2col; returns ((O, N, H, W) output, the
-    (C*k*k, N*H*W) im2col columns)."""
+    (C*k*k, N*H*W) im2col columns).  Zero padding keeps a 3x3 output
+    same-sized; 1x1 kernels get none."""
     o, c, k, _ = kernels.shape
     cols, ho, wo = _im2col(x, k, (k - 1) // 2)
     out = kernels.reshape(o, c * k * k) @ cols
@@ -251,20 +250,17 @@ def _conv_forward(x, kernels, bias):
 
 
 def _conv_backward(dout, cols, lp: LayerParams, want_dx):
-    """Sample-major dout (N, O, H, W) and the forward's channel-major
-    columns -> (dx, dw, db); dx is sample-major, or None unless want_dx."""
-    n, o = dout.shape[:2]
-    dflat = dout.reshape(n, o, -1)
-    # einsum's summation order follows its operands' memory layout; it is
-    # given the (N, C*k*k, P) layout that the trained bits depend on
-    cols = np.ascontiguousarray(
-        cols.reshape(cols.shape[0], n, -1).transpose(1, 0, 2))
-    dw = np.einsum("nop,nqp->oq", dflat, cols).reshape(lp.kernels.shape)
-    db = dflat.sum(axis=(0, 2))
+    """Channel-major dout (O, N, H, W) and the forward's (C*k*k, N*H*W)
+    columns -> (dx, dw, db): dw is one GEMM against the columns, db the
+    row sums, and dx the channel-major (C, N, H, W) conv of the flipped
+    kernels over dout, or None unless want_dx."""
+    dflat = dout.reshape(dout.shape[0], -1)
+    dw = (dflat @ cols.T).reshape(lp.kernels.shape)
+    db = dflat.sum(axis=1)
     if not want_dx:
         return None, dw, db
     flipped = lp.kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    return conv2d_dense(dout, np.ascontiguousarray(flipped)), dw, db
+    return _conv_forward(dout, flipped, None)[0], dw, db
 
 
 def _maxpool_values(x):
@@ -383,10 +379,12 @@ def backward(params: ModelParams, cache, grad_loc, grad_cla):
     grad_cla is taken against the post-softmax probabilities.  Returns a
     dict name -> (dkernels, dbias) matching the parameter shapes: parameter
     gradients only.  A conv that reads the network input forms no input
-    gradient, since nothing reads it.  Gradients flow sample-major
-    (N, C, H, W), over sample-major views of the channel-major forward
-    records; a pool routes each gradient to the first cell of its block
-    that holds the recorded output, found in its recorded input.
+    gradient, since nothing reads it.  Gradients flow channel-major
+    ((C, N, H, W) maps, (N, C) rows after averaging) over the forward
+    records as they are; a head's gradient that arrives on (N, C, H, W)
+    maps is transposed once on the way in.  A pool routes each gradient to
+    the first cell of its block that holds the recorded output, found in
+    its recorded input.
     """
     if cache is None or "steps" not in cache:
         raise ConfigError("backward needs the cache from a matching forward call")
@@ -400,19 +398,22 @@ def backward(params: ModelParams, cache, grad_loc, grad_cla):
     # head's first when the trunk is empty
     input_steps = {0, loc_end} if trunk_end == 0 else {0}
 
+    def channel_major(grad):
+        grad = np.asarray(grad, dtype=np.float64)
+        return grad.transpose(1, 0, 2, 3) if grad.ndim == 4 else grad
+
     def run_back(lo, hi, dx):
         for i in range(hi - 1, lo - 1, -1):
             layer, x_shape, out, aux = steps[i]
-            if out.ndim == 4:           # a sample-major view of the maps
-                out = out.transpose(1, 0, 2, 3)
-            if layer.kind == "softmax":
-                dot = (dx * out).sum(axis=1, keepdims=True)
+            if layer.kind == "softmax":  # over the channel axis
+                axis = 0 if out.ndim == 4 else 1
+                dot = (dx * out).sum(axis=axis, keepdims=True)
                 dx = out * (dx - dot)
             elif layer.kind == "gap":
-                c, n, h, w = x_shape
-                dx = np.broadcast_to(dx[:, :, None, None] / (h * w), (n, c, h, w))
+                h, w = x_shape[2:]
+                dx = np.broadcast_to(dx.T[:, :, None, None] / (h * w), x_shape)
             elif layer.kind == "maxpool":
-                dx = _maxpool_backward(dx, aux.transpose(1, 0, 2, 3), out)
+                dx = _maxpool_backward(dx, aux, out)
             else:
                 if layer.relu:
                     dx = dx * (out > 0)
@@ -422,8 +423,8 @@ def backward(params: ModelParams, cache, grad_loc, grad_cla):
                 grads[layer.name] = (dw, db)
         return dx
 
-    d_loc = run_back(trunk_end, loc_end, np.asarray(grad_loc, dtype=np.float64))
-    d_cla = run_back(loc_end, len(steps), np.asarray(grad_cla, dtype=np.float64))
+    d_loc = run_back(trunk_end, loc_end, channel_major(grad_loc))
+    d_cla = run_back(loc_end, len(steps), channel_major(grad_cla))
     if trunk_end:
         run_back(0, trunk_end, d_loc + d_cla)
     return grads

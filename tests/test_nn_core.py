@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ghaar.errors import ConfigError, DimensionError
 from ghaar import nn_core as nn
@@ -42,13 +43,20 @@ def small_spec(constrained=False):
         constrained=constrained)
 
 
+def conv_cm(x, kernels, bias=None):
+    """nn._conv_forward on a channel-major view of an (N, C, H, W) batch,
+    returned sample-major."""
+    out, _ = nn._conv_forward(x.transpose(1, 0, 2, 3), kernels, bias)
+    return out.transpose(1, 0, 2, 3)
+
+
 def test_conv_matches_reference():
     rng = np.random.default_rng(0)
     for k, pad in ((3, 1), (1, 0)):
         x = rng.normal(size=(3, 6, 6))
         kernels = rng.normal(size=(4, 3, k, k))
         bias = rng.normal(size=4)
-        got = nn.conv2d_dense(x[None], kernels, bias)[0]
+        got = conv_cm(x[None], kernels, bias)[0]
         want = conv_reference(x, kernels, bias, pad)
         assert got.shape == want.shape
         assert rel_err(got, want) < 1e-12
@@ -59,15 +67,44 @@ def test_conv_batched_equals_per_sample():
     x = rng.normal(size=(5, 2, 8, 8))
     kernels = rng.normal(size=(3, 2, 3, 3))
     bias = rng.normal(size=3)
-    batched = nn.conv2d_dense(x, kernels, bias)
+    batched = conv_cm(x, kernels, bias)
     for i in range(5):
-        single = nn.conv2d_dense(x[i:i + 1], kernels, bias)[0]
+        single = conv_cm(x[i:i + 1], kernels, bias)[0]
         assert rel_err(batched[i], single) < 1e-14
 
 
-def test_conv_channel_mismatch():
-    with pytest.raises(DimensionError):
-        nn.conv2d_dense(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 3, 3)))
+def im2col_reference(x, k, pad):
+    """np.pad, then one copy of the sliding-window view: the columns
+    (C*k*k, N*Ho*Wo) of a (C, N, H, W) input."""
+    c, n = x.shape[:2]
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    view = sliding_window_view(x, (k, k), axis=(2, 3))
+    cols = np.ascontiguousarray(view.transpose(0, 4, 5, 1, 2, 3))
+    return cols.reshape(c * k * k, -1), view.shape[2], view.shape[3]
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.tuples(st.integers(1, 3), st.integers(1, 3),
+                       st.sampled_from([1, 2, 3, 5]), st.sampled_from([1, 2, 3, 7])),
+       k=st.sampled_from([1, 3]), layout=st.sampled_from(["c", "t", "s"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_im2col_equals_pad_and_window_view(shape, k, layout, seed):
+    # contiguous, a channel-major view of a sample-major array (as the
+    # layer walk hands conv1 its input), or a strided slice
+    rng = np.random.default_rng(seed)
+    c, n, h, w = shape
+    cells = np.array([0.0, -0.0, 1.5, -2.0, np.inf, np.nan])
+    if layout == "t":
+        x = rng.choice(cells, size=(n, c, h, w)).transpose(1, 0, 2, 3)
+    elif layout == "s":
+        x = rng.choice(cells, size=(c, n, 2 * h, w + 1))[:, :, ::2, 1:]
+    else:
+        x = rng.choice(cells, size=shape)
+    got, ho, wo = nn._im2col(x, k, (k - 1) // 2)
+    want, *size = im2col_reference(x, k, (k - 1) // 2)
+    assert (ho, wo) == tuple(size) == (h, w)
+    assert same_bits(got, want)
 
 
 def test_maxpool_values_and_ties():
@@ -179,14 +216,13 @@ def test_maxpool_backward_equals_argmax_scatter(x, seed):
     dout = np.where(rng.random(shape) < 0.5,
                     rng.choice([0.0, -0.0, 1.0, -2.5], size=shape),
                     rng.normal(size=shape))
-    # as backward calls it: sample-major views of the channel-major record
+    # as backward calls it: the channel-major record and gradient as they are
     record = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
     pooled = nn._maxpool_values(record)
-    got = nn._maxpool_backward(dout, record.transpose(1, 0, 2, 3),
-                               pooled.transpose(1, 0, 2, 3))
+    got = nn._maxpool_backward(dout.transpose(1, 0, 2, 3), record, pooled)
     want = argmax_pool_backward(dout, argmax_pool(x)[1], x.shape)
     assert got.flags.c_contiguous
-    assert same_bits(got, want)
+    assert same_bits(got.transpose(1, 0, 2, 3), want)
 
 
 def test_softmax_properties():
@@ -347,8 +383,9 @@ def trunkless_spec():
 @pytest.mark.parametrize("make_spec, reads_input", [
     (small_spec, 1), (pool_first_spec, 0), (trunkless_spec, 2)])
 def test_backward_forms_no_input_gradient(make_spec, reads_input, monkeypatch):
-    # every conv's input gradient is formed by one conv2d_dense call,
-    # except for the convs that read the network input: nothing reads theirs
+    # every conv's input gradient is formed by one conv (of the flipped
+    # kernels over its output gradient), except for the convs that read the
+    # network input: nothing reads theirs
     spec = make_spec()
     rng = np.random.default_rng(8)
     params = nn.init_params(spec, seed=8)
@@ -356,9 +393,9 @@ def test_backward_forms_no_input_gradient(make_spec, reads_input, monkeypatch):
     tl, tc = rng.normal(size=(2, 4)), rng.uniform(size=(2, 3))
     loc, probs, cache = nn.forward(params, x)
     calls = []
-    dense = nn.conv2d_dense
-    monkeypatch.setattr(nn, "conv2d_dense",
-                        lambda *args: calls.append(args) or dense(*args))
+    conv = nn._conv_forward
+    monkeypatch.setattr(nn, "_conv_forward",
+                        lambda *args: calls.append(args) or conv(*args))
     grads = nn.backward(params, cache, 2.0 * (loc - tl), 2.0 * (probs - tc))
     convs = [l.name for l, _ in spec.conv_layers()]
     assert sorted(grads) == sorted(convs)
@@ -374,6 +411,88 @@ def test_backward_forms_no_input_gradient(make_spec, reads_input, monkeypatch):
         down = loss_of(params, x, tl, tc)
         lp.kernels[0, 0, 0, 0] = old
         assert rel_err((up - down) / (2 * h), grads[name][0][0, 0, 0, 0]) < 1e-4, name
+
+
+def maps_spec():
+    # a class head that ends on maps: softmax per position, no averaging
+    spec = nn.build_network_spec(
+        in_channels=2, classes=3, window=32, trunk_widths=(3, 4, 4, 5),
+        head_widths=(4, 4), bottleneck=3, constrained=False)
+    return dataclasses.replace(spec, cla_head=tuple(
+        l for l in spec.cla_head if l.kind != "gap"))
+
+
+def sample_major_backward(params, cache, grad_loc, grad_cla):
+    """Oracle: backward run sample-major (N, C, H, W) over sample-major
+    views of the channel-major records, each dw an einsum over the
+    per-sample columns."""
+    steps = cache["steps"]
+    trunk_end = len(params.spec.shared_trunk)
+    loc_end = trunk_end + len(params.spec.loc_head)
+    input_steps = {0, loc_end} if trunk_end == 0 else {0}
+    grads = {}
+
+    def conv_back(dout, cols, lp, want_dx):
+        n, o = dout.shape[:2]
+        dflat = dout.reshape(n, o, -1)
+        cols = np.ascontiguousarray(
+            cols.reshape(cols.shape[0], n, -1).transpose(1, 0, 2))
+        dw = np.einsum("nop,nqp->oq", dflat, cols).reshape(lp.kernels.shape)
+        db = dflat.sum(axis=(0, 2))
+        if not want_dx:
+            return None, dw, db
+        flipped = lp.kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return conv_cm(dout, np.ascontiguousarray(flipped)), dw, db
+
+    def run_back(lo, hi, dx):
+        for i in range(hi - 1, lo - 1, -1):
+            layer, x_shape, out, aux = steps[i]
+            if out.ndim == 4:
+                out = out.transpose(1, 0, 2, 3)
+            if layer.kind == "softmax":
+                dot = (dx * out).sum(axis=1, keepdims=True)
+                dx = out * (dx - dot)
+            elif layer.kind == "gap":
+                c, n, h, w = x_shape
+                dx = np.broadcast_to(dx[:, :, None, None] / (h * w),
+                                     (n, c, h, w))
+            elif layer.kind == "maxpool":
+                dx = nn._maxpool_backward(dx, aux.transpose(1, 0, 2, 3), out)
+            else:
+                if layer.relu:
+                    dx = dx * (out > 0)
+                dx, dw, db = conv_back(dx, aux, params.layers[layer.name],
+                                       i not in input_steps)
+                grads[layer.name] = (dw, db)
+        return dx
+
+    d_loc = run_back(trunk_end, loc_end, grad_loc)
+    d_cla = run_back(loc_end, len(steps), grad_cla)
+    if trunk_end:
+        run_back(0, trunk_end, d_loc + d_cla)
+    return grads
+
+
+@settings(max_examples=40, deadline=None)
+@given(make_spec=st.sampled_from(
+           [small_spec, pool_first_spec, trunkless_spec, maps_spec]),
+       n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_backward_matches_sample_major_oracle(make_spec, n, seed):
+    spec = make_spec()
+    rng = np.random.default_rng(seed)
+    params = nn.init_params(spec, seed=seed % 1000)
+    # ReLU outputs at a coarse step: pool blocks tie, at zero and above
+    x = np.maximum(rng.normal(size=(n, spec.in_channels, spec.input_size,
+                                    spec.input_size)).round(1), 0.0)
+    loc, probs, cache = nn.forward(params, x)
+    gl, gc = rng.normal(size=loc.shape), rng.normal(size=probs.shape)
+    got = nn.backward(params, cache, gl, gc)
+    want = sample_major_backward(params, cache, gl, gc)
+    assert sorted(got) == sorted(want)
+    for name, pair in want.items():
+        for g, w in zip(got[name], pair):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
 
 
 def test_sgd_update_inplace():
