@@ -86,7 +86,8 @@ def im2col_reference(x, k, pad):
 
 @settings(max_examples=150, deadline=None)
 @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 3),
-                       st.sampled_from([1, 2, 3, 5]), st.sampled_from([1, 2, 3, 7])),
+                       st.sampled_from([1, 2, 3, 5]),
+                       st.sampled_from([1, 2, 3, 7])),
        k=st.sampled_from([1, 3]), layout=st.sampled_from(["c", "t", "s"]),
        seed=st.integers(0, 2**32 - 1))
 def test_im2col_equals_pad_and_window_view(shape, k, layout, seed):
