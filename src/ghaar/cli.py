@@ -163,12 +163,6 @@ def cmd_detect(args):
     return 0
 
 
-def _fast_per_step(spec):
-    """Multiplies per step on the one-multiply route, by layer name."""
-    return {layer.name: 1 if layer.constrained else layer.kernel_size ** 2
-            for layer, _ in spec.conv_layers()}
-
-
 def cmd_bench(args):
     cfg = cf.parse_config(args.config)
     model = _load_model(args.model)
@@ -179,32 +173,32 @@ def cmd_bench(args):
     w = cf.get_int(cfg, "image_w", sy.SynthSettings.image_w)
     rng = np.random.default_rng(args.seed)
     image = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
-    sliding, _ = wd.final_windows(image, ws=ws,
-                                  stride_frac=settings["stride_frac"],
-                                  ratio=settings["ratio"])
-    counter, diag = cm.OpCounter(), {}
-    start = time.perf_counter()
-    pl.detect_image(model, image, cam, ranges, counter=counter,
-                    diagnostics=diag, **settings)
-    elapsed = time.perf_counter() - start
-    filtered = diag["windows"]
-    if not filtered:
+    grid = dict(ws=ws, stride_frac=settings["stride_frac"],
+                ratio=settings["ratio"])
+    sliding = len(wd.final_windows(image, **grid)[0])
+    kept = len(wd.final_windows(image, cam, ranges, **grid)[0])
+    if not kept:
         raise DataError(f"no {ws}px window survives pruning on a {w}x{h} "
                         f"frame: nothing to time")
-    # detection counts the dense route's steps; additions match on both
-    per_step = _fast_per_step(model.spec)
-    fast = sum(slot["steps"] * per_step[name]
-               for name, slot in counter.layers.items())
-    print(f"sliding_windows {len(sliding)}")
-    print(f"filtered_windows {filtered}")
-    print(f"reduction {filtered / len(sliding):.4f}")
-    print(f"windows_per_sec {filtered / elapsed:.1f}")
-    print(f"fast_multiplies {fast}")
-    print(f"fast_additions {counter.additions}")
-    print(f"dense_multiplies {counter.multiplies}")
+    start = time.perf_counter()
+    pl.detect_image(model, image, cam, ranges, **settings)
+    elapsed = time.perf_counter() - start
+    # every window costs the same: count one through each route
+    one = np.zeros((1, model.spec.in_channels, ws, ws))
+    fast, dense = cm.OpCounter(), cm.OpCounter()
+    cm.forward_fast(model, one, counter=fast)
+    cm.forward_dense(model, one, counter=dense)
+    print(f"sliding_windows {sliding}")
+    print(f"filtered_windows {kept}")
+    print(f"reduction {kept / sliding:.4f}")
+    print(f"windows_per_sec {kept / elapsed:.1f}")
+    print(f"fast_multiplies {fast.multiplies * kept}")
+    print(f"fast_additions {fast.additions * kept}")
+    print(f"dense_multiplies {dense.multiplies * kept}")
     for layer, _ in model.spec.conv_layers():
         if layer.constrained:
-            print(f"per_step_multiplies {layer.name} {per_step[layer.name]}")
+            print(f"per_step_multiplies {layer.name} "
+                  f"{fast.per_step_multiplies(layer.name):g}")
     return 0
 
 

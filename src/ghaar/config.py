@@ -14,6 +14,7 @@ to its default unnoticed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 from .errors import ConfigError
@@ -64,8 +65,15 @@ def _get(cfg, key, default, cast, what):
         raise ConfigError(f"config key '{key}' is not {what}: {cfg[key]!r}")
 
 
+def _finite(s):
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(s)
+    return value
+
+
 def get_float(cfg, key, default=None):
-    return _get(cfg, key, default, float, "a number")
+    return _get(cfg, key, default, _finite, "a finite number")
 
 
 def get_int(cfg, key, default=None):
@@ -91,8 +99,8 @@ def get_int_tuple(cfg, key, default=None):
 
 def get_float_tuple(cfg, key, default=None):
     return _get(cfg, key, default,
-                lambda s: tuple(float(p) for p in s.split()),
-                "a list of numbers")
+                lambda s: tuple(_finite(p) for p in s.split()),
+                "a list of numbers, all finite")
 
 
 def camera_from_config(cfg) -> CameraModel:

@@ -187,13 +187,13 @@ def detect_image(model, image, cam=None, ranges=None, *,
                  score_thresh=DETECT_SCORE_THRESH,
                  bandwidth_frac=MEAN_SHIFT_BANDWIDTH,
                  nms_iou=DETECT_NMS_IOU, batch_size=DETECT_BATCH_SIZE,
-                 counter=None, diagnostics=None):
+                 counter=None):
     """Full single-image pass: windows -> dense-route inference -> refine.
 
     Batches run on compressed.forward_dense, faster in numpy than
     forward_fast, so counter gets k*k multiplies per step.  Background
-    label 0 and scores below score_thresh are dropped before refinement.
-    Pass a dict as diagnostics to get window/degenerate counts.
+    label 0, scores below score_thresh and degenerate boxes are dropped
+    before refinement; final_windows gives the windows a pass runs.
     DataError, before any window is built, when the model does not take the
     3-channel windows an RGB image yields, or its heads do not yield one box
     offset and one class distribution per window: the loc head must end in
@@ -214,7 +214,6 @@ def detect_image(model, image, cam=None, ranges=None, *,
     wins, levels = final_windows(image, cam=cam, ranges=ranges, ws=ws,
                                  stride_frac=stride_frac, ratio=ratio)
     raw = []
-    degenerate = 0
     for lo in range(0, len(wins), batch_size):
         batch = wins[lo:lo + batch_size]
         x = normalize_image(np.stack([crop_window(w, levels, ws)
@@ -227,15 +226,10 @@ def detect_image(model, image, cam=None, ranges=None, *,
                 continue
             box = decode_outputs(loc[i], win)
             if box[0] >= box[2] or box[1] >= box[3]:
-                degenerate += 1
                 continue
             raw.append(Detection(box=box, label=int(labels[i]),
                                  score=float(scores[i]), source_window=win))
-    final = nms(mean_shift_refine(raw, bandwidth_frac), nms_iou)
-    if diagnostics is not None:
-        diagnostics.update(windows=len(wins), raw=len(raw),
-                           degenerate=degenerate, final=len(final))
-    return final
+    return nms(mean_shift_refine(raw, bandwidth_frac), nms_iou)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ layer, and its readers (step, census, compress) never derive it again.
 Projecting the accumulator instead of the projected weight itself is what
 lets gradient components orthogonal to the current pattern accumulate until
 they flip it; re-projecting the projected weight discards them and training
-stalls at the class prior.  Training happens twice: first against the full
-pattern space, then, after a usage census picks the popular patterns,
+stalls at the class prior.  fit trains phase A against the full pattern
+space, then phase B, opened by a usage census of the popular patterns,
 against the reduced space the compressed model will ship with.
 """
 
@@ -284,12 +284,6 @@ def usage_census(params, space) -> np.ndarray:
     return out
 
 
-def _epoch_batches(n, batch_size, rng):
-    perm = rng.permutation(n)
-    for lo in range(0, n, batch_size):
-        yield perm[lo:lo + batch_size]
-
-
 def _as_batch(x, idx):
     """Slice samples out of the store as float64 network input.
 
@@ -300,32 +294,6 @@ def _as_batch(x, idx):
     if sel.dtype == np.uint8:
         return normalize_image(sel)
     return np.asarray(sel, dtype=np.float64)
-
-
-def _run_phase(params, space, phase, data, cfg, rng, epochs, epoch_offset,
-               rows, val, progress=None):
-    x, loc_t, labels = data
-    for ep in range(epochs):
-        lr = cfg.lr_at(epoch_offset + ep)
-        sums = {"loss": 0.0, "loc": 0.0, "cla": 0.0, "reg": 0.0,
-                "err_cla": 0.0}
-        nb = 0
-        for idx in _epoch_batches(x.shape[0], cfg.batch_size, rng):
-            info = train_step(params, _as_batch(x, idx), loc_t[idx],
-                              labels[idx], space, cfg, lr)
-            for k in sums:
-                sums[k] += info[k]
-            nb += 1
-        row = {"epoch": epoch_offset + ep, "phase": phase, "lr": lr,
-               "space": len(space)}
-        row.update({k: v / nb for k, v in sums.items()})
-        row["mean_residual"] = mean_nearest_residual(params, space)
-        if val is not None:
-            row.update(evaluate_windows(params, *val))
-        rows.append(row)
-        if progress is not None:
-            progress(row)
-    return params
 
 
 def evaluate_windows(params, x, loc_t, labels):
@@ -365,15 +333,17 @@ def _check_samples(x, labels, cfg, what):
 
 
 def fit(x, loc_target, labels, cfg: TrainConfig, val=None, progress=None):
-    """Two-phase constrained training.
+    """Constrained training over a list of phases, one log row per epoch
+    holding the mean of its train_step dicts.
 
-    Phase one trains against the full pattern space; a usage census then
-    keeps the cfg.nr busiest patterns and phase two continues training
-    against that reduced space.  Returns (params, table, log_rows), table
-    being the pattern table the model ships with: the reduced space, or,
-    for a spec without constrained layers (one phase of training), a
-    one-entry table no record references.  ConfigError before the first
-    step when a sample or label does not fit the network, in x or in val.
+    Phase A trains cfg.phase_a_epochs against the full pattern space; phase
+    B opens, even with no epochs left, with a usage census that keeps the
+    cfg.nr busiest patterns, and trains the rest against that reduced space.
+    Returns (params, table, log_rows), table being the pattern table the
+    model ships with: the reduced space, or, for a spec without constrained
+    layers (one phase A), a one-entry table no record references.
+    ConfigError before the first step when a sample or label does not fit
+    the network, in x or in val.
     """
     x = np.asarray(x)      # _as_batch converts each batch to network input
     loc_target = np.asarray(loc_target, dtype=np.float64)
@@ -386,25 +356,37 @@ def fit(x, loc_target, labels, cfg: TrainConfig, val=None, progress=None):
     spec = cfg.network_spec()
     rng = np.random.default_rng(cfg.seed)
     params = nn.init_params(spec, seed=cfg.seed)
-    full = hs.enumerate_space(cfg.m)
+    space = hs.enumerate_space(cfg.m)
+    constrained = bool(constrained_layer_names(spec))
+    phases = ((("A", cfg.phase_a_epochs),
+               ("B", cfg.epochs - cfg.phase_a_epochs))
+              if constrained else (("A", cfg.epochs),))
     rows = []
-    data = (x, loc_target, labels)
-
-    if not constrained_layer_names(spec):
-        _run_phase(params, full, "A", data, cfg, rng, cfg.epochs, 0, rows,
-                   val, progress)
-        return params, hs.reduced_space_from_indices(cfg.m, [0]), rows
-
-    constrain_params(params, full)
-    _run_phase(params, full, "A", data, cfg, rng, cfg.phase_a_epochs, 0, rows,
-               val, progress)
-    counts = usage_census(params, full)
-    reduced = hs.select_top_filters(counts, cfg.nr)
-    constrain_params(params, reduced)
-    _run_phase(params, reduced, "B", data, cfg, rng,
-               cfg.epochs - cfg.phase_a_epochs, cfg.phase_a_epochs, rows, val,
-               progress)
-    return params, reduced, rows
+    for phase, epochs in phases:
+        if phase == "B":
+            space = hs.select_top_filters(usage_census(params, space), cfg.nr)
+        constrain_params(params, space)
+        for _ in range(epochs):
+            lr = cfg.lr_at(len(rows))
+            batches = np.array_split(rng.permutation(len(x)), range(
+                cfg.batch_size, len(x), cfg.batch_size))
+            # positional: perfbench's trace reads the space as args[4]
+            infos = [train_step(params, _as_batch(x, idx), loc_target[idx],
+                                labels[idx], space, cfg, lr)
+                     for idx in batches]
+            row = {"epoch": len(rows), "phase": phase, "lr": lr,
+                   "space": len(space)}
+            row.update({k: sum(info[k] for info in infos) / len(infos)
+                        for k in infos[0]})
+            row["mean_residual"] = mean_nearest_residual(params, space)
+            if val is not None:
+                row.update(evaluate_windows(params, *val))
+            rows.append(row)
+            if progress is not None:
+                progress(row)
+    if not constrained:
+        space = hs.reduced_space_from_indices(cfg.m, [0])
+    return params, space, rows
 
 
 def write_log_csv(rows, path):

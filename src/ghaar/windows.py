@@ -93,12 +93,12 @@ class SceneRanges:
             raise ConfigError("physical object side must be positive")
 
 
-def _level_sizes(image, ws, ratio):
-    """(scale, level height, level width) of each pyramid level, down to
-    the last one not below ws on a side."""
-    if ratio <= 1:
+def _level_sizes(shape, ws, ratio):
+    """(scale, level height, level width) of each pyramid level of an image
+    shaped (h, w, ...), down to the last one not below ws on a side."""
+    if not ratio > 1:
         raise ConfigError(f"pyramid ratio must exceed 1, got {ratio}")
-    h, w = image.shape[:2]
+    h, w = shape[:2]
     if min(h, w) < ws:
         raise DataError(f"image {w}x{h} is smaller than the {ws}px window")
     sizes = []
@@ -127,12 +127,13 @@ def build_pyramid(image, ws=DEFAULT_WS, ratio=DEFAULT_RATIO):
     return [PyramidLevel(scale=scale,
                          image=_level_band(img, scale, lh, lw,
                                            (0, lh), (0, lw)))
-            for scale, lh, lw in _level_sizes(img, ws, ratio)]
+            for scale, lh, lw in _level_sizes(img.shape, ws, ratio)]
 
 
 def _grid_step(ws, stride_frac):
-    if not 0 < stride_frac <= 1:
-        raise ConfigError(f"stride fraction must be in (0, 1], got {stride_frac}")
+    if not (0 < stride_frac <= 1 and round(stride_frac * ws) >= 1):
+        raise ConfigError(f"stride fraction must be in (0, 1] and give a "
+                          f"step of at least 1 px, got {stride_frac}")
     return int(round(stride_frac * ws))
 
 
@@ -200,7 +201,7 @@ def final_windows(image, cam=None, ranges=None, ws=DEFAULT_WS,
     the way to read their pixels.
     """
     img = np.asarray(image)
-    sizes = _level_sizes(img, ws, ratio)
+    sizes = _level_sizes(img.shape, ws, ratio)
     step = _grid_step(ws, stride_frac)
     wins, levels = [], []
     for k, (scale, lh, lw) in enumerate(sizes):
@@ -251,23 +252,20 @@ def crop_window(win: Window, levels, ws=DEFAULT_WS):
 
 @dataclass(frozen=True)
 class CoverageReport:
+    """coverage_verify's worst object side; passed if it has slack left."""
     passed: bool
     worst_margin: float      # pixels of two-sided slack at the worst case
     worst_side: float        # object side (source px) achieving it
-    worst_axis: str
 
 
-def _axis_margin(canvas, side, ws, step, scale):
+def _axis_margin(canvas, side, ws, step, scale, level_len):
     """Best two-sided slack for a 1D object of `side` source px against one
-    level's window grid, minimized over object positions.
+    level_len-px level's window grid, minimized over object positions.
 
     Window intervals in source pixels are [x*scale, (x+ws)*scale].  An
     object [a, a+side] is contained iff some window has
     x*scale <= a and a+side <= (x+ws)*scale.
     """
-    level_len = int(round(canvas / scale))
-    if level_len < ws:
-        return None
     xs = np.asarray(_axis_positions(level_len, ws, step), dtype=np.float64)
     lo = xs * scale
     hi = (xs + ws) * scale
@@ -293,7 +291,9 @@ def coverage_verify(rs_lo=RS_LO, rs_hi=RS_HI, stride_frac=DEFAULT_STRIDE_FRAC,
     COVERAGE_SIDE_STEP px) and every position on the canvas, some pyramid
     window must fully contain the object.  Containment of an axis-aligned
     square is separable, so each axis is swept independently and the worst
-    margin is the minimum over both.
+    margin is the minimum over both.  The grid is final_windows' on a canvas
+    square, with its errors: ConfigError for a stride_frac or ratio it
+    refuses, DataError for a canvas smaller than ws.
     """
     if not 0 < rs_lo < rs_hi <= 1:
         raise ConfigError("size-ratio band must satisfy 0 < lo < hi <= 1")
@@ -301,25 +301,20 @@ def coverage_verify(rs_lo=RS_LO, rs_hi=RS_HI, stride_frac=DEFAULT_STRIDE_FRAC,
         raise ConfigError(
             f"pyramid ratio {ratio} exceeds {rs_hi}/{rs_lo}; objects between "
             "levels would escape both bands")
-    step = int(round(stride_frac * ws))
-    worst = (np.inf, 0.0, "x")
+    step = _grid_step(ws, stride_frac)
+    levels = _level_sizes((canvas, canvas), ws, ratio)
+    worst_margin, worst_side = np.inf, 0.0
     sides = np.arange(rs_lo * ws, rs_hi * ws + 1e-9, COVERAGE_SIDE_STEP)
     if sides[-1] < rs_hi * ws - 1e-9:
         sides = np.append(sides, rs_hi * ws)  # the band edge is the worst case
-    # levels that can matter for the band: rs at level k is side/(ws*ratio^k)
-    max_k = int(np.ceil(np.log(canvas / ws) / np.log(ratio))) + 1
     for side in sides:
         best_for_side = -np.inf
-        for k in range(max_k + 1):
-            scale = ratio ** k
-            rs_k = side / (ws * scale)
-            if not rs_lo - 1e-9 <= rs_k <= rs_hi + 1e-9:
-                continue
-            m = _axis_margin(canvas, side, ws, step, scale)
-            if m is not None:
-                best_for_side = max(best_for_side, m)
-        if best_for_side < worst[0]:
-            worst = (best_for_side, float(side), "xy")
-    margin, side, axis = worst
-    return CoverageReport(passed=bool(margin > 0), worst_margin=margin,
-                          worst_side=side, worst_axis=axis)
+        for scale, length, _ in levels:
+            # only the levels whose size-ratio band holds the side
+            if rs_lo - 1e-9 <= side / (ws * scale) <= rs_hi + 1e-9:
+                best_for_side = max(best_for_side, _axis_margin(
+                    canvas, side, ws, step, scale, length))
+        if best_for_side < worst_margin:
+            worst_margin, worst_side = best_for_side, float(side)
+    return CoverageReport(passed=bool(worst_margin > 0),
+                          worst_margin=worst_margin, worst_side=worst_side)

@@ -12,6 +12,7 @@ from ghaar import cli
 from ghaar import compressed as cm
 from ghaar import config as cf
 from ghaar import pipeline as pl
+from ghaar import ppm
 from ghaar import synth as sy
 from ghaar import training as tr
 from ghaar import windows as wd
@@ -170,11 +171,12 @@ def test_bench_agrees_with_detect_image(workspace, capsys):
     model = cm.decode_model(workspace["model"].read_bytes())
     grid = dict(stride_frac=cf.get_float(cfg, "stride_frac"),
                 ratio=cf.get_float(cfg, "pyramid_ratio"))
-    counter, diag = cm.OpCounter(), {}
-    pl.detect_image(model, image, cf.camera_from_config(cfg),
-                    cf.ranges_from_config(cfg), counter=counter,
-                    diagnostics=diag, **grid)
-    assert int(report["filtered_windows"]) == diag["windows"] > 0
+    cam, ranges = cf.camera_from_config(cfg), cf.ranges_from_config(cfg)
+    counter = cm.OpCounter()
+    pl.detect_image(model, image, cam, ranges, counter=counter, **grid)
+    kept = len(wd.final_windows(image, cam, ranges, ws=model.spec.input_size,
+                                **grid)[0])
+    assert int(report["filtered_windows"]) == kept > 0
     # detection runs the dense route, so its counter holds dense tallies
     assert int(report["dense_multiplies"]) == counter.multiplies
     sliding, _ = wd.final_windows(image, ws=model.spec.input_size, **grid)
@@ -400,6 +402,30 @@ def test_detect_refuses_a_model_whose_heads_it_cannot_read(
     assert cli.main(["detect", "-m", str(path), "-o", str(tmp_path / "det"),
                      str(workspace["data"] / "train_00000.ppm")]) == 3
     assert f"data error: model's {what}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, key", [
+    ("train", "pyramid_ratio"), ("train", "jitter_frac"),
+    ("train", "bg_ratio"), ("detect", "pyramid_ratio"), ("detect", "m11"),
+    ("detect", "x3d_min"), ("detect", "score_thresh"),
+    ("detect", "bandwidth_frac")])
+def test_non_finite_value_is_refused_before_any_image(
+        workspace, tmp_path, capsys, monkeypatch, command, key, value):
+    reads = []
+    monkeypatch.setattr(sy, "read_ppm", reads.append)      # train's reader
+    monkeypatch.setattr(ppm, "read_ppm", reads.append)     # detect's reader
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text(SMALL_CONFIG + f"{key} = {value}\n")
+    out = str(tmp_path / "run")
+    argv = {"train": ["train", "-c", str(cfg), "--data",
+                      str(workspace["data"]), "-o", out],
+            "detect": ["detect", "-c", str(cfg), "-m", str(workspace["model"]),
+                       "-o", out, str(workspace["data"] / "train_00000.ppm")]}
+    assert cli.main(argv[command]) == 2
+    assert (f"config error: config key '{key}' is not a finite number"
+            in capsys.readouterr().err)
+    assert reads == []
 
 
 def test_zero_decay_interval_is_refused_before_any_image(workspace, tmp_path,

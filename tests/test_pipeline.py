@@ -263,14 +263,10 @@ def test_detect_image_deterministic():
     model = tiny_model()
     rng = np.random.default_rng(19)
     image = rng.integers(0, 256, size=(40, 40, 3), dtype=np.uint8)
-    diag1, diag2 = {}, {}
-    out1 = pl.detect_image(model, image, score_thresh=0.2,
-                           diagnostics=diag1)
-    out2 = pl.detect_image(model, image, score_thresh=0.2,
-                           diagnostics=diag2)
+    out1 = pl.detect_image(model, image, score_thresh=0.2)
+    out2 = pl.detect_image(model, image, score_thresh=0.2)
     assert out1 == out2
-    assert diag1 == diag2
-    assert diag1["windows"] > 0
+    assert len(final_windows(image, ws=model.spec.input_size)[0]) > 0
 
 
 def test_detect_image_threshold_filters_everything():
@@ -284,11 +280,11 @@ def test_detect_image_independent_of_batch_size():
     model = tiny_model()
     rng = np.random.default_rng(31)
     image = rng.integers(0, 256, size=(64, 80, 3), dtype=np.uint8)
-    diag = {}
-    want = pl.detect_image(model, image, score_thresh=0.2, diagnostics=diag)
-    assert diag["windows"] > pl.DETECT_BATCH_SIZE
+    want = pl.detect_image(model, image, score_thresh=0.2)
+    windows = len(final_windows(image, ws=model.spec.input_size)[0])
+    assert windows > pl.DETECT_BATCH_SIZE
     assert want
-    for batch in (1, 7, diag["windows"], diag["windows"] + 5):
+    for batch in (1, 7, windows, windows + 5):
         got = pl.detect_image(model, image, score_thresh=0.2,
                               batch_size=batch)
         assert len(got) == len(want), batch
@@ -325,10 +321,10 @@ def test_detect_image_runs_the_dense_route():
     assert any(layer.constrained for layer, _ in model.spec.conv_layers())
     image = np.random.default_rng(31).integers(0, 256, size=(64, 80, 3),
                                                dtype=np.uint8)
-    counter, diag = cm.OpCounter(), {}
-    got = pl.detect_image(model, image, score_thresh=0.2, counter=counter,
-                          diagnostics=diag)
-    assert diag["windows"] > 2 * pl.DETECT_BATCH_SIZE
+    counter = cm.OpCounter()
+    got = pl.detect_image(model, image, score_thresh=0.2, counter=counter)
+    assert (len(final_windows(image, ws=model.spec.input_size)[0])
+            > 2 * pl.DETECT_BATCH_SIZE)
     assert got
     assert got == rebuilt_detections(model, image, cm.forward_dense, 0.2)
     # the one-multiply route computes the same detections

@@ -367,6 +367,32 @@ def test_fit_logs_phase_b_over_a_full_size_reduced_space():
     assert [r["phase"] for r in rows] == ["A", "B"]
 
 
+def test_fit_without_phase_a_trains_every_epoch_on_the_reduced_space():
+    cfg = small_cfg(epochs=2, phase_a_epochs=0, nr=8)
+    x, loc_t, labels = toy_data(16, seed=16)
+    params, table, rows = tr.fit(x, loc_t, labels, cfg)
+    assert [(r["epoch"], r["phase"], r["space"]) for r in rows] == [
+        (0, "B", 8), (1, "B", 8)]
+    assert len(table) == 8
+    for name in tr.constrained_layer_names(params.spec):
+        assert params.layers[name].filter_idx.max() < 8
+
+
+def test_fit_without_phase_b_still_ships_the_reduced_table():
+    # the census and reduction open phase B even when it has no epochs
+    cfg = small_cfg(epochs=2, phase_a_epochs=2, nr=8)
+    x, loc_t, labels = toy_data(16, seed=17)
+    params, table, rows = tr.fit(x, loc_t, labels, cfg)
+    assert [(r["epoch"], r["phase"], r["space"]) for r in rows] == [
+        (0, "A", 256), (1, "A", 256)]
+    assert len(table) == 8
+    for name in tr.constrained_layer_names(params.spec):
+        lp = params.layers[name]
+        assert lp.filter_idx.max() < 8
+        assert np.array_equal(table.kernels(lp.filter_idx, lp.factors),
+                              lp.kernels)
+
+
 @pytest.mark.parametrize("train_kw, val_kw, match", [
     (dict(channels=3), {}, "training samples have shape"),
     (dict(window=32), {}, "training samples have shape"),

@@ -75,6 +75,27 @@ def test_coverage_rejects_gapped_ratio():
         wd.coverage_verify(0.5, 0.7, 0.3, 1.5)
 
 
+@pytest.mark.parametrize("stride_frac", [0, 0.001, 1.5])
+def test_coverage_refuses_a_stride_the_window_grid_refuses(stride_frac):
+    # 0.001 of 48 px rounds to a step of 0
+    with pytest.raises(ConfigError, match="stride fraction"):
+        wd.coverage_verify(0.5, 0.7, stride_frac, 1.4, ws=48, canvas=512)
+
+
+def test_coverage_refuses_a_canvas_smaller_than_the_window():
+    with pytest.raises(DataError, match="smaller than the 48px window"):
+        wd.coverage_verify(0.5, 0.7, 0.3, 1.4, ws=48, canvas=40)
+
+
+@pytest.mark.parametrize("grid, match", [
+    (dict(ratio=float("nan")), "pyramid ratio"),
+    (dict(stride_frac=0.001), "stride fraction")])     # a 0 px step
+def test_final_windows_refuses_a_grid_it_cannot_build(grid, match):
+    image = np.zeros((40, 40, 3), dtype=np.uint8)
+    with pytest.raises(ConfigError, match=match):
+        wd.final_windows(image, ws=16, **grid)
+
+
 def test_projection_hand_values():
     cam = spec_camera()
     x2d, y2d, d2d = cam.project(0.0, 0.0, 20.0, 2.0)
