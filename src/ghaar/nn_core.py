@@ -28,6 +28,9 @@ DEFAULT_WINDOW = 48
 DEFAULT_TRUNK = (64, 128, 256, 256)
 DEFAULT_HEAD = (128, 128)
 DEFAULT_BOTTLENECK = 64
+# the layer kinds each head ends in: one box and one class distribution per
+# window
+HEAD_TAILS = {"loc": ("gap",), "cla": ("gap", "softmax")}
 
 
 @dataclass(frozen=True)
@@ -65,10 +68,9 @@ class NetworkSpec:
     cla_head: tuple
 
     def __post_init__(self):
-        """ConfigError unless the graph runs: unique layer names, each layer
-        fed what it takes, even maps at every pool, nothing but softmax after
-        averaging, a 4-wide loc head (when it has layers) and a cla head as
-        wide as the classes."""
+        """ConfigError unless the graph is a detector: unique names, a trunk,
+        each layer fed what it takes, even maps at every pool, and 4 loc and
+        `classes` cla channels from convs and pools ending in HEAD_TAILS."""
         seen = set()
         for layer in self.shared_trunk + self.loc_head + self.cla_head:
             if layer.name in seen:
@@ -76,14 +78,11 @@ class NetworkSpec:
             seen.add(layer.name)
         if min(self.in_channels, self.input_size) < 1:
             raise ConfigError("input needs channels and a size")
+        if not self.shared_trunk:
+            raise ConfigError("the shared trunk has no layers")
 
-        def walk(seq, channels, size):      # size None once averaged
+        def walk(seq, channels, size):
             for layer in seq:
-                if layer.kind == "softmax":
-                    continue
-                if size is None:
-                    raise ConfigError(f"layer {layer.name}: {layer.kind} "
-                                      "after global averaging")
                 if layer.kind == "conv":
                     if layer.in_channels != channels:
                         raise ConfigError(
@@ -96,13 +95,21 @@ class NetworkSpec:
                                           f"a {size}x{size} map")
                     size //= 2
                 else:
-                    size = None
+                    raise ConfigError(f"layer {layer.name}: {layer.kind} "
+                                      "outside a head's tail")
             return channels, size
 
+        def body(head, seq, what):
+            tail = HEAD_TAILS[head]
+            if tuple(layer.kind for layer in seq[-len(tail):]) != tail:
+                raise ConfigError(f"{head} head does not end in {what}")
+            return seq[:-len(tail)]
+
         trunk = walk(self.shared_trunk, self.in_channels, self.input_size)
-        loc, _ = walk(self.loc_head, *trunk)
-        cla, _ = walk(self.cla_head, *trunk)
-        if self.loc_head and loc != 4:
+        loc, _ = walk(body("loc", self.loc_head, "global averaging"), *trunk)
+        cla, _ = walk(body("cla", self.cla_head, "averaging and softmax"),
+                      *trunk)
+        if loc != 4:
             raise ConfigError(f"loc head yields {loc} values, not 4")
         if cla != self.classes:
             raise ConfigError(f"cla head yields {cla} values for "
@@ -140,26 +147,20 @@ def build_network_spec(in_channels=3, classes=3, window=DEFAULT_WINDOW,
         trunk.append(LayerSpec(f"pool{i}", "maxpool"))
         prev = width
 
-    def head(tag, outputs, with_softmax):
-        layers = [
+    def head(tag, outputs):
+        return (
             LayerSpec(f"{tag}_conv5_1", "conv", 3, prev, head_widths[0],
                       constrained=constrained, relu=True),
             LayerSpec(f"{tag}_conv5_2", "conv", 3, head_widths[0], head_widths[1],
                       constrained=constrained, relu=True),
             LayerSpec(f"{tag}_fc1", "conv", 1, head_widths[1], bottleneck, relu=True),
             LayerSpec(f"{tag}_out", "conv", 1, bottleneck, outputs),
-            LayerSpec(f"{tag}_gap", "gap"),
-        ]
-        if with_softmax:
-            layers.append(LayerSpec(f"{tag}_softmax", "softmax"))
-        return tuple(layers)
+        ) + tuple(LayerSpec(f"{tag}_{kind}", kind) for kind in HEAD_TAILS[tag])
 
     return NetworkSpec(
         input_size=window, in_channels=in_channels, classes=classes,
-        shared_trunk=tuple(trunk),
-        loc_head=head("loc", 4, with_softmax=False),
-        cla_head=head("cla", classes, with_softmax=True),
-    )
+        shared_trunk=tuple(trunk), loc_head=head("loc", 4),
+        cla_head=head("cla", classes))
 
 
 @dataclass
@@ -295,10 +296,10 @@ def _maxpool_backward(dout, x, out):
 
 
 def softmax(logits):
-    """Stable softmax over axis 1 of an (N, C) or (N, C, H, W) array."""
+    """Stable softmax over each row of an (N, C) array."""
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim < 2:
-        raise DimensionError(f"softmax needs a class axis at 1, got shape {z.shape}")
+    if z.ndim != 2:
+        raise DimensionError(f"softmax takes (N, C) rows, got shape {z.shape}")
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
@@ -308,8 +309,7 @@ def run_network(spec: NetworkSpec, x, conv, record=None):
     """Run the two-headed network with a given conv implementation.
 
     x is an (N, C, H, W) batch.  Inside, activations are channel-major
-    (C, N, H, W) up to global averaging, which yields (N, C) rows; a head
-    that ends without averaging returns its maps as (N, C, H, W).
+    (C, N, H, W) up to global averaging, which yields (N, C) rows.
     conv(layer, x) receives the channel-major input and returns a fresh
     (O, N, H, W) pre-activation, which ReLU then overwrites in place, plus
     an aux.  Pooling (the plain 2x2 max), averaging and softmax are applied
@@ -318,9 +318,8 @@ def run_network(spec: NetworkSpec, x, conv, record=None):
     the channel-major one ((C, N, H, W), or (N, C) after averaging); output
     is what the step hands on (a conv's activated output, the pooled map,
     the averaged rows, the probabilities); aux is the conv's aux or the
-    pool's channel-major input, else None.  Softmax normalizes over
-    channels: each row of (N, C), or each position of (C, N, H, W) maps.
-    Returns (loc, probs).
+    pool's channel-major input, else None.  Returns the (N, 4) loc rows and
+    the (N, classes) probs rows.
     """
     x = _as_batch(x)
     if x.shape[1:] != (spec.in_channels, spec.input_size, spec.input_size):
@@ -338,10 +337,8 @@ def run_network(spec: NetworkSpec, x, conv, record=None):
             out, aux = _maxpool_values(x), x
         elif layer.kind == "gap":
             out = x.mean(axis=(2, 3)).T
-        elif x.ndim == 2:
+        else:
             out = softmax(x)
-        else:                           # per-position softmax over channels
-            out = softmax(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
         if record is not None:
             record((layer, x.shape, out, aux))
         return out
@@ -352,8 +349,7 @@ def run_network(spec: NetworkSpec, x, conv, record=None):
         return x
 
     trunk = run(spec.shared_trunk, x.transpose(1, 0, 2, 3))
-    return tuple(y.transpose(1, 0, 2, 3) if y.ndim == 4 else y
-                 for y in (run(spec.loc_head, trunk), run(spec.cla_head, trunk)))
+    return run(spec.loc_head, trunk), run(spec.cla_head, trunk)
 
 
 def forward(params: ModelParams, x, want_cache=True):
@@ -378,36 +374,25 @@ def backward(params: ModelParams, cache, grad_loc, grad_cla):
 
     grad_cla is taken against the post-softmax probabilities.  Returns a
     dict name -> (dkernels, dbias) matching the parameter shapes: parameter
-    gradients only.  A conv that reads the network input forms no input
-    gradient, since nothing reads it.  Gradients flow channel-major
+    gradients only.  A conv at step 0 reads the network input and forms no
+    input gradient, since nothing reads it.  Gradients flow channel-major
     ((C, N, H, W) maps, (N, C) rows after averaging) over the forward
-    records as they are; a head's gradient that arrives on (N, C, H, W)
-    maps is transposed once on the way in.  A pool routes each gradient to
-    the first cell of its block that holds the recorded output, found in
-    its recorded input.
+    records as they are.  A pool routes each gradient to the first cell of
+    its block that holds the recorded output, found in its recorded input.
     """
     if cache is None or "steps" not in cache:
         raise ConfigError("backward needs the cache from a matching forward call")
     steps = cache["steps"]
-    spec = params.spec
-    trunk_end = len(spec.shared_trunk)
-    loc_end = trunk_end + len(spec.loc_head)
+    trunk_end = len(params.spec.shared_trunk)
+    loc_end = trunk_end + len(params.spec.loc_head)
     grads = {}
 
-    # the steps that read the network input: the trunk's first, or each
-    # head's first when the trunk is empty
-    input_steps = {0, loc_end} if trunk_end == 0 else {0}
-
-    def channel_major(grad):
-        grad = np.asarray(grad, dtype=np.float64)
-        return grad.transpose(1, 0, 2, 3) if grad.ndim == 4 else grad
-
     def run_back(lo, hi, dx):
+        dx = np.asarray(dx, dtype=np.float64)
         for i in range(hi - 1, lo - 1, -1):
             layer, x_shape, out, aux = steps[i]
-            if layer.kind == "softmax":  # over the channel axis
-                axis = 0 if out.ndim == 4 else 1
-                dot = (dx * out).sum(axis=axis, keepdims=True)
+            if layer.kind == "softmax":
+                dot = (dx * out).sum(axis=1, keepdims=True)
                 dx = out * (dx - dot)
             elif layer.kind == "gap":
                 h, w = x_shape[2:]
@@ -418,23 +403,26 @@ def backward(params: ModelParams, cache, grad_loc, grad_cla):
                 if layer.relu:
                     dx = dx * (out > 0)
                 lp = params.layers[layer.name]
-                dx, dw, db = _conv_backward(dx, aux, lp,
-                                            want_dx=i not in input_steps)
+                dx, dw, db = _conv_backward(dx, aux, lp, want_dx=i > 0)
                 grads[layer.name] = (dw, db)
         return dx
 
-    d_loc = run_back(trunk_end, loc_end, channel_major(grad_loc))
-    d_cla = run_back(loc_end, len(steps), channel_major(grad_cla))
-    if trunk_end:
-        run_back(0, trunk_end, d_loc + d_cla)
+    d_loc = run_back(trunk_end, loc_end, grad_loc)
+    d_cla = run_back(loc_end, len(steps), grad_cla)
+    run_back(0, trunk_end, d_loc + d_cla)
     return grads
+
+
+def check_lr(lr):
+    """ConfigError unless the learning rate is finite and positive."""
+    if not 0 < lr < np.inf:
+        raise ConfigError(f"learning rate must be in (0, inf), got {lr}")
 
 
 def sgd_update(params: ModelParams, grads, lr: float):
     """In-place w <- w - lr*g for every bias and LayerParams.trained (the
     accumulator where a layer keeps one) with a gradient."""
-    if lr <= 0:
-        raise ConfigError(f"learning rate must be positive, got {lr}")
+    check_lr(lr)
     for name, (dw, db) in grads.items():
         lp = params.layers[name]
         w = lp.trained

@@ -195,22 +195,12 @@ def detect_image(model, image, cam=None, ranges=None, *,
     label 0, scores below score_thresh and degenerate boxes are dropped
     before refinement; final_windows gives the windows a pass runs.
     DataError, before any window is built, when the model does not take the
-    3-channel windows an RGB image yields, or its heads do not yield one box
-    offset and one class distribution per window: the loc head must end in
-    global averaging, the cla head in averaging followed by softmax.
+    3-channel windows an RGB image yields.
     """
-    spec = model.spec
-    if spec.in_channels != 3:
-        raise DataError(f"model takes {spec.in_channels}-channel "
+    if model.spec.in_channels != 3:
+        raise DataError(f"model takes {model.spec.in_channels}-channel "
                         "input; detection feeds it RGB windows")
-    if [layer.kind for layer in spec.loc_head[-1:]] != ["gap"]:
-        raise DataError("model's loc head does not end in global averaging; "
-                        "detection reads one box offset per window")
-    if [layer.kind for layer in spec.cla_head[-2:]] != ["gap", "softmax"]:
-        raise DataError("model's cla head does not end in averaging and "
-                        "softmax; detection reads one class distribution "
-                        "per window")
-    ws = spec.input_size
+    ws = model.spec.input_size
     wins, levels = final_windows(image, cam=cam, ranges=ranges, ws=ws,
                                  stride_frac=stride_frac, ratio=ratio)
     raw = []

@@ -34,6 +34,14 @@ from .ppm import normalize_image
 EVAL_BATCH = 256        # held-out windows per forward call
 
 
+def check_pull(phi, q):
+    """ConfigError unless phi is in [0, inf) and q in [1, inf)."""
+    if not 1 <= q < np.inf:
+        raise ConfigError(f"sharpness must be in [1, inf), got {q}")
+    if not 0 <= phi < np.inf:
+        raise ConfigError(f"regularizer weight must be in [0, inf), got {phi}")
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 10
@@ -57,12 +65,8 @@ class TrainConfig:
     bottleneck: int = nn.DEFAULT_BOTTLENECK
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ConfigError(f"sharpness must be >= 1, got {self.q}")
-        if self.phi < 0:
-            raise ConfigError(f"regularizer weight must be >= 0, got {self.phi}")
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        check_pull(self.phi, self.q)
+        nn.check_lr(self.lr)
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch size must be >= 1")
         if not 0 < self.lr_decay <= 1:
@@ -119,10 +123,7 @@ def _regularizer_batch(flat, signs, phi: float, q: int):
 
 def haar_regularizer(w, space, phi: float, q: int):
     """(value, grad) of the smooth-min pull for one m x m kernel."""
-    if q < 1:
-        raise ConfigError(f"sharpness must be >= 1, got {q}")
-    if phi < 0:
-        raise ConfigError(f"regularizer weight must be >= 0, got {phi}")
+    check_pull(phi, q)
     m = space.m
     flat = hs._flat_kernel(w, m)
     value, grad = _regularizer_batch(flat[None, :], space.signs, phi, q)

@@ -1,8 +1,9 @@
 """Command-line behavior: exit codes and a desk-scale end-to-end chain."""
 
-import dataclasses
+import hashlib
 import os
 import shlex
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -390,18 +391,29 @@ def test_detect_refuses_a_one_channel_model(workspace, tmp_path, capsys):
     ("loc_gap", "loc head does not end in global averaging"),
     ("cla_softmax", "cla head does not end in averaging and softmax")])
 def test_detect_refuses_a_model_whose_heads_it_cannot_read(
-        workspace, tmp_path, capsys, drop, what):
-    # the trained model re-encoded under its spec minus one head layer
-    model = cm.decode_model(workspace["model"].read_bytes())
-    heads = {head: tuple(layer for layer in getattr(model.spec, head)
-                         if layer.name != drop)
-             for head in ("loc_head", "cla_head")}
-    spec = dataclasses.replace(model.spec, **heads)
+        workspace, tmp_path, capsys, monkeypatch, drop, what):
+    # the trained model's file with one head layer's line cut from its spec
+    # text, digest and length to match; no such spec can be constructed, so
+    # the file is refused at load, before any image is read
+    data = workspace["model"].read_bytes()
+    text = cm.serialize_spec(cm.decode_model(data).spec)
+    payload = data[len(cm.MAGIC) + 1 + 16 + 4 + len(text):]
+    cut = b"".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith(f"layer {drop} ".encode()))
+    assert len(cut) < len(text)
     path = tmp_path / "headless.ghnw"
-    path.write_bytes(cm.encode_model(dataclasses.replace(model, spec=spec)))
-    assert cli.main(["detect", "-m", str(path), "-o", str(tmp_path / "det"),
-                     str(workspace["data"] / "train_00000.ppm")]) == 3
-    assert f"data error: model's {what}" in capsys.readouterr().err
+    path.write_bytes(cm.MAGIC + bytes([cm.VERSION])
+                     + hashlib.sha256(cut).digest()[:16]
+                     + struct.pack("<I", len(cut)) + cut + payload)
+    reads = []
+    monkeypatch.setattr(ppm, "read_ppm", reads.append)
+    for argv in (["detect", "-m", str(path), "-o", str(tmp_path / "det"),
+                  str(workspace["data"] / "train_00000.ppm")],
+                 ["inspect-model", "-m", str(path)]):
+        assert cli.main(argv) == 4
+        assert (f"format error: bad spec block: {what}"
+                in capsys.readouterr().err)
+    assert reads == []
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -227,6 +227,14 @@ def model_bytes_for(spec_text):
             + struct.pack("<I", len(blob)) + blob + bytes(payload))
 
 
+# trained_like_params' trunk as serialize_spec writes it
+TRUNK_LINES = "".join(
+    f"layer conv{i} conv 3 {c} {o} 1 1\nlayer pool{i} maxpool 0 0 0 0 0\n"
+    for i, (c, o) in enumerate(((2, 3), (3, 4), (4, 4), (4, 4)), start=1))
+LOC_GAP = "layer loc_gap gap 0 0 0 0 0\n"
+CLA_TAIL = "layer cla_gap gap 0 0 0 0 0\nlayer cla_softmax softmax 0 0 0 0 0\n"
+
+
 @pytest.mark.parametrize("edits, message", [
     # conv1 yields 3 channels, conv2 says it takes 5
     ([("conv2 conv 3 3 4", "conv2 conv 3 5 4")], "takes 5 channels, gets 3"),
@@ -241,10 +249,23 @@ def model_bytes_for(spec_text):
      "channels must be >= 1"),
     ([("layer loc_gap", "layer loc_gap2"),
       ("layer loc_fc1", "layer loc_gap gap 0 0 0 0 0\nlayer loc_fc1")],
-     "loc_fc1: conv after global averaging"),
+     "loc_gap: gap outside a head's tail"),
+    ([(LOC_GAP, "")], "loc head does not end in global averaging"),
+    ([(CLA_TAIL, "layer cla_gap gap 0 0 0 0 0\n")],
+     "cla head does not end in averaging and softmax"),
+    ([(CLA_TAIL, "layer cla_softmax softmax 0 0 0 0 0\n"
+                 "layer cla_gap gap 0 0 0 0 0\n")],
+     "cla head does not end in averaging and softmax"),
+    ([("layer pool4", "layer conv4_gap gap 0 0 0 0 0\nlayer pool4")],
+     "conv4_gap: gap outside a head's tail"),
+    ([(LOC_GAP, "layer loc_softmax softmax 0 0 0 0 0\n" + LOC_GAP)],
+     "loc_softmax: softmax outside a head's tail"),
+    ([(TRUNK_LINES, "")], "the shared trunk has no layers"),
 ], ids=["channel-chain", "odd-pool", "repeated-name", "loc-width",
         "classes-width", "short-header", "empty-input", "zero-width-conv",
-        "conv-after-gap"])
+        "conv-after-gap", "no-loc-gap", "no-cla-softmax",
+        "softmax-before-gap", "gap-in-trunk", "softmax-in-loc-head",
+        "empty-trunk"])
 def test_decode_refuses_specs_that_cannot_run(edits, message):
     spec = trained_like_params()[0].spec
     text = cm.serialize_spec(spec).decode("ascii")
@@ -429,7 +450,8 @@ def test_one_multiply_per_constrained_step():
 
 
 def one_layer_model(c, o, side, assign, factors, seed):
-    """A single constrained 3x3 conv layer as a compressed model.
+    """The smallest detector around one constrained 3x3 conv, conv1, as a
+    compressed model: each head is a 1x1 output conv and its tail.
 
     assign: "one" puts every kernel on one pattern, "distinct" gives every
     (o, c) its own pattern, "random" draws patterns with repeats.
@@ -437,8 +459,13 @@ def one_layer_model(c, o, side, assign, factors, seed):
     """
     rng = np.random.default_rng(seed)
     layer = nn.LayerSpec("conv1", "conv", 3, c, o, constrained=True)
-    spec = nn.NetworkSpec(input_size=side, in_channels=c, classes=o,
-                          shared_trunk=(layer,), loc_head=(), cla_head=())
+    spec = nn.NetworkSpec(
+        input_size=side, in_channels=c, classes=2, shared_trunk=(layer,),
+        loc_head=(nn.LayerSpec("loc_out", "conv", 1, o, 4),
+                  nn.LayerSpec("loc_gap", "gap")),
+        cla_head=(nn.LayerSpec("cla_out", "conv", 1, o, 2),
+                  nn.LayerSpec("cla_gap", "gap"),
+                  nn.LayerSpec("cla_softmax", "softmax")))
     space = hs.reduced_space_from_indices(3, rng.permutation(256))
     if assign == "one":
         idx = np.full((o, c), int(rng.integers(256)))
@@ -452,9 +479,12 @@ def one_layer_model(c, o, side, assign, factors, seed):
     elif factors == "some_zero":
         fac[rng.random((o, c)) < 0.5] = 0.0
     # compress rebuilds the dense kernels from idx and fac
-    params = nn.ModelParams(spec, {"conv1": nn.LayerParams(
-        np.zeros((o, c, 3, 3)), rng.normal(size=o), idx, fac)})
-    return cm.compress(params, space)
+    layers = {"conv1": nn.LayerParams(
+        np.zeros((o, c, 3, 3)), rng.normal(size=o), idx, fac)}
+    for name, width in (("loc_out", 4), ("cla_out", 2)):
+        layers[name] = nn.LayerParams(rng.normal(size=(width, o, 1, 1)),
+                                      rng.normal(size=width))
+    return cm.compress(nn.ModelParams(spec, layers), space)
 
 
 @settings(max_examples=60, deadline=None)
@@ -472,16 +502,22 @@ def test_fast_conv_matches_dense_and_counts(c, o, side, batch, assign,
                                             factors, seed):
     model = one_layer_model(c, o, side, assign, factors, seed)
     x = np.random.default_rng(seed).normal(size=(batch, c, side, side))
-    fast, dense = cm.OpCounter(), cm.OpCounter()
-    out_f, _ = cm.forward_fast(model, x, fast)
-    out_d, _ = cm.forward_dense(model, x, dense)
-    assert out_f.shape == out_d.shape == (batch, o, side, side)
+    # conv1 on both routes, on the channel-major input the walk hands it
+    layer, lp = model.spec.shared_trunk[0], model.params.layers["conv1"]
+    out_f = cm._conv_fast(x.transpose(1, 0, 2, 3), lp, model.space, layer)
+    out_d, _ = nn._conv_forward(x.transpose(1, 0, 2, 3), lp.kernels, lp.bias)
+    assert out_f.shape == out_d.shape == (o, batch, side, side)
     assert np.abs(out_f - out_d).max() <= 1e-12
+    fast, dense = cm.OpCounter(), cm.OpCounter()
+    cm.forward_fast(model, x, fast)
+    cm.forward_dense(model, x, dense)
     steps = batch * side * side * o * c
-    assert fast.layers == {"conv1": {
-        "steps": steps, "multiplies": steps, "additions": 8 * steps}}
-    assert dense.layers == {"conv1": {
-        "steps": steps, "multiplies": 9 * steps, "additions": 8 * steps}}
+    assert fast.layers["conv1"] == {
+        "steps": steps, "multiplies": steps, "additions": 8 * steps}
+    assert dense.layers["conv1"] == {
+        "steps": steps, "multiplies": 9 * steps, "additions": 8 * steps}
+    # the 1x1 head convs run densely on both routes
+    assert fast.layers == dense.layers | {"conv1": fast.layers["conv1"]}
 
 
 def test_storage_report_arithmetic():

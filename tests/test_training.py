@@ -58,6 +58,25 @@ def test_decay_interval_is_checked_when_built(every):
         small_cfg(decay_every=every)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("phi", np.nan), ("phi", np.inf), ("phi", -0.1), ("q", np.nan),
+    ("q", np.inf), ("q", 0), ("lr", np.nan), ("lr", np.inf), ("lr", 0.0)])
+def test_training_arguments_must_be_finite_and_in_range(key, value):
+    # phi nan once trained exactly as phi 0; each rule is written once and
+    # read by the config and by the function the argument reaches:
+    # haar_regularizer for the pull, sgd_update for the learning rate
+    match = {"phi": "regularizer weight", "q": "sharpness",
+             "lr": "learning rate"}[key]
+    with pytest.raises(ConfigError, match=match):
+        small_cfg(**{key: value})
+    with pytest.raises(ConfigError, match=match):
+        if key == "lr":
+            nn.sgd_update(nn.init_params(small_cfg().network_spec()), {}, value)
+        else:
+            tr.haar_regularizer(np.zeros((3, 3)), hs.enumerate_space(3),
+                                **{"phi": 0.1, "q": 8, key: value})
+
+
 def test_pattern_side_is_fixed_at_three():
     # every kernel the spec constrains is 3x3, so the side is no field
     assert tr.TrainConfig.m == small_cfg().m == 3
