@@ -1,10 +1,12 @@
 """Sign-pattern-constrained detection networks.
 
-Training keeps every 3x3 kernel a scaled plus/minus-one pattern, the
+Training keeps every 3x3 kernel a scaled plus/minus-one pattern, and the
 compressed model stores each kernel as one pattern reference plus one
-float32 factor (5 bytes), and inference replaces the per-step dot product
-with signed accumulation and a single multiply.  Sliding windows come from
-an image pyramid pruned by perspective geometry.
+float32 factor (5 bytes).  Detection runs the dense route on the decoded
+kernels, the fastest one measured in numpy; the one-multiply path (signed
+accumulation, then a single multiply per step) is kept as the witness of
+the paper's arithmetic.  Sliding windows come from an image pyramid pruned
+by perspective geometry.
 """
 
 from .errors import (

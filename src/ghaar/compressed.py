@@ -17,7 +17,7 @@ are stored as raw little-endian float32.
 File layout (all integers little-endian):
 
     magic "GHNW" | version u8 | digest 16B | spec_len u32 | spec text
-    space: m u8 | count u16 | count x u32 canonical indices
+    space: side u8 (always 3) | count u16 | count x u32 canonical indices
     per conv layer, topological order:
         constrained: O*C x (ref u8, factor f32), then O x f32 bias
         otherwise:   O*C*k*k x f32 kernel, then O x f32 bias
@@ -40,7 +40,6 @@ MAGIC = b"GHNW"
 VERSION = 1
 RECORD = np.dtype([("ref", "u1"), ("fac", "<f4")])   # one constrained kernel
 RECORD_SIZE = RECORD.itemsize                          # 5 bytes
-DENSE_KERNEL_BYTES = 36  # 4 * 3 * 3, the uncompressed float32 cost
 
 
 class OpCounter:
@@ -149,13 +148,17 @@ def parse_spec(blob: bytes, base_offset: int = 0) -> nn.NetworkSpec:
     if "input" not in header or "classes" not in header:
         fail("missing input/classes header")
     try:
-        return nn.NetworkSpec(
+        spec = nn.NetworkSpec(
             input_size=header["input"][1], in_channels=header["input"][0],
             classes=header["classes"][0],
             shared_trunk=tuple(sections["trunk"]),
             loc_head=tuple(sections["loc"]), cla_head=tuple(sections["cla"]))
     except ConfigError as exc:      # a graph that cannot run
         fail(str(exc))
+    # one text per graph, so decode -> encode gives back the same bytes
+    if serialize_spec(spec) != blob:
+        fail("not the canonical text of its layer graph")
+    return spec
 
 
 def spec_digest(spec: nn.NetworkSpec) -> bytes:
@@ -201,16 +204,13 @@ def compress(params: nn.ModelParams, space) -> CompressedModel:
 def encode_model(model) -> bytes:
     """Serialize a CompressedModel.
 
-    Raises ConfigError on a pattern table over 256 entries (a record's
-    reference is one byte), a constrained layer without an assignment or
+    Raises ConfigError on a constrained layer without an assignment or
     with a reference outside the table, or a value not finite in float32.
     """
     return _encode(model.spec, model.space, model.params)
 
 
 def _encode(spec, space, params) -> bytes:
-    if len(space) > 256:
-        raise ConfigError(f"pattern table holds at most 256 entries, got {len(space)}")
     blob = serialize_spec(spec)
     out = bytearray()
     out += MAGIC
@@ -218,7 +218,7 @@ def _encode(spec, space, params) -> bytes:
     out += spec_digest(spec)
     out += struct.pack("<I", len(blob))
     out += blob
-    out.append(space.m)
+    out.append(hs.SIDE)
     out += struct.pack("<H", len(space))
     out += np.asarray(space.indices, dtype="<u4").tobytes()
     for layer, _ in spec.conv_layers():
@@ -291,15 +291,15 @@ def decode_model(data: bytes) -> CompressedModel:
     spec = parse_spec(blob, base_offset=spec_start)
 
     (m,) = cur.unpack("<B", "pattern side")
+    if m != hs.SIDE:
+        raise FormatError(f"pattern side {m} is not {hs.SIDE}",
+                          offset=cur.pos - 1)
     (nr,) = cur.unpack("<H", "pattern count")
     if nr == 0 or nr > 256:
         raise FormatError(f"pattern count {nr} out of range", offset=cur.pos - 2)
     idx_off = cur.pos
     indices = np.frombuffer(cur.take(4 * nr, "pattern table"), dtype="<u4")
-    limit = hs.space_size(m) if hs.MIN_SIDE <= m <= hs.MAX_SIDE else 0
-    if limit == 0:
-        raise FormatError(f"pattern side {m} out of range", offset=idx_off - 3)
-    if indices.max() >= limit:
+    if indices.max() >= hs.space_size(m):
         raise FormatError("canonical index out of range", offset=idx_off)
     try:
         space = hs.reduced_space_from_indices(m, indices.astype(np.int64))
@@ -310,10 +310,6 @@ def decode_model(data: bytes) -> CompressedModel:
     for layer, _ in spec.conv_layers():
         o, c, k = layer.out_channels, layer.in_channels, layer.kernel_size
         if layer.constrained:
-            if k != m:
-                raise FormatError(
-                    f"layer {layer.name} kernel size {k} does not match "
-                    f"pattern side {m}", offset=cur.pos)
             rec_off = cur.pos
             raw = cur.take(RECORD_SIZE * o * c, f"{layer.name} records")
             recs = np.frombuffer(raw, dtype=RECORD).reshape(o, c)
@@ -344,12 +340,11 @@ def haar_conv_step(pattern, patch, k, counter=None):
     Sums the +1 cells, subtracts the -1 cells, and multiplies once by the
     factor.
     """
-    cells = pattern.cells if isinstance(pattern, hs.SignPattern) else np.asarray(pattern)
     patch = np.asarray(patch, dtype=np.float64)
-    if patch.shape != cells.shape:
-        raise DimensionError(f"patch {patch.shape} vs pattern {cells.shape}")
+    if patch.shape != pattern.cells.shape:
+        raise DimensionError(f"patch {patch.shape} vs pattern {pattern.cells.shape}")
     flat = patch.reshape(-1)
-    sign = cells.reshape(-1)
+    sign = pattern.cells.reshape(-1)
     plus = flat[sign > 0].sum()
     minus_idx = sign < 0
     s = plus - flat[minus_idx].sum() if minus_idx.any() else plus

@@ -1,52 +1,42 @@
 """Sign-pattern filter space: enumeration, projection, and selection.
 
-An m x m sign pattern is a kernel whose cells are all -1 or +1.  A pattern
-and its negation act as the same filter once an arbitrary real scale factor
-is allowed, so the space is canonicalized by fixing cell (0, 0) to +1.  The
-remaining m*m - 1 cells, read in row-major order, form the bits of the
+A sign pattern is a SIDE x SIDE (3x3) kernel whose cells are all -1 or +1.
+A pattern and its negation act as the same filter once an arbitrary real
+scale factor is allowed, so the space is canonicalized by fixing cell (0, 0)
+to +1.  The remaining 8 cells, read in row-major order, form the bits of the
 canonical index: cell number j+1 contributes bit j (least significant bit
 first), with +1 encoding as 1.  Index 0 is therefore the pattern that is +1
 at (0, 0) and -1 everywhere else; the all-ones pattern has the largest
-index, 2**(m*m - 1) - 1.
+index, 255, so a one-byte reference indexes any pattern table.
 
 Projecting a real kernel w onto a pattern s means finding the least-squares
-scale: lambda = sum(w * s) / sum(s * s) = sum(w * s) / m^2.  The residual
+scale: lambda = sum(w * s) / sum(s * s) = sum(w * s) / 9.  The residual
 sum((w - lambda * s)**2) measures how far w sits from the ray through s.
 """
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
 
-MIN_SIDE = 2
-MAX_SIDE = 4  # 2**(4*4-1) = 32768 patterns; beyond that enumeration is pointless
+SIDE = 3        # the paper's 3x3 patterns: 2**(3*3-1) = 256 of them
+BLOCK = 2048    # kernels per project_batch chunk
 
 
 def space_size(m: int) -> int:
-    """Number of canonical sign patterns of side m; raises on an unsupported side."""
-    if not MIN_SIDE <= m <= MAX_SIDE:
-        raise ConfigError(
-            f"filter space side must be in [{MIN_SIDE}, {MAX_SIDE}], got {m}: "
-            f"2**({m}*{m}-1) patterns would exceed the supported size limit")
+    """Number of canonical sign patterns of side m, which must be SIDE."""
+    if m != SIDE:
+        raise ConfigError(f"filter space side must be {SIDE}, got {m}")
     return 1 << (m * m - 1)
-
-
-def side_for_size(n: int) -> int:
-    """Inverse of space_size; raises ConfigError if n is not a space size."""
-    for m in range(MIN_SIDE, MAX_SIDE + 1):
-        if space_size(m) == n:
-            return m
-    raise ConfigError(f"{n} is not the size of any filter space with side in "
-                      f"[{MIN_SIDE}, {MAX_SIDE}]")
 
 
 @dataclass(frozen=True)
 class SignPattern:
     """One canonical +-1 filter."""
 
-    m: int
+    m: ClassVar[int] = SIDE
     cells: np.ndarray  # (m, m) int8, cells[0, 0] == +1
     canonical_index: int
 
@@ -72,7 +62,7 @@ class FilterSpace:
     reduced_space_from_indices or select_top_filters.
     """
 
-    m: int
+    m: ClassVar[int] = SIDE
     indices: np.ndarray = field(repr=False)  # (N,) int64, row -> canonical index
     signs: np.ndarray = field(repr=False)    # (N, m*m) float64, +-1 rows
 
@@ -81,7 +71,7 @@ class FilterSpace:
 
     def __getitem__(self, row: int) -> SignPattern:
         cells = self.signs[row].reshape(self.m, self.m).astype(np.int8)
-        return SignPattern(self.m, cells, int(self.indices[row]))
+        return SignPattern(cells, int(self.indices[row]))
 
     def kernels(self, rows, factors):
         """Dense kernels factor * pattern, shaped rows.shape + (m, m)."""
@@ -105,7 +95,7 @@ def reduced_space_from_indices(m: int, selected) -> FilterSpace:
     signs[:, 1:] = bits * 2.0 - 1.0
     indices.setflags(write=False)
     signs.setflags(write=False)
-    return FilterSpace(m, indices, signs)
+    return FilterSpace(indices, signs)
 
 
 @dataclass(frozen=True)
@@ -122,10 +112,10 @@ def enumerate_space(m: int) -> FilterSpace:
     return reduced_space_from_indices(m, np.arange(space_size(m)))
 
 
-def _flat_kernel(w, m: int) -> np.ndarray:
+def _flat_kernel(w) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (m, m) and w.shape != (m * m,):
-        raise DimensionError(f"kernel shape {w.shape} does not match side {m}")
+    if w.shape != (SIDE, SIDE) and w.shape != (SIDE * SIDE,):
+        raise DimensionError(f"kernel shape {w.shape} does not match side {SIDE}")
     return w.reshape(-1)
 
 
@@ -134,14 +124,14 @@ def nearest_filter(w, space) -> ProjectionResult:
 
     Ties are broken by the lowest canonical index.
     """
-    wf = _flat_kernel(w, space.m)
+    wf = _flat_kernel(w)
     rows, scales, residuals = project_batch(wf[None, :], space)
     return ProjectionResult(index=int(space.indices[rows[0]]),
                             scale=float(scales[0]),
                             residual=float(residuals[0]))
 
 
-def project_batch(kernels, space, block: int = 2048):
+def project_batch(kernels, space):
     """Nearest pattern for many flat kernels at once.
 
     kernels is (J, m*m); returns (rows, scales, residuals) where rows index
@@ -150,7 +140,7 @@ def project_batch(kernels, space, block: int = 2048):
     with the largest |w . s|; only that pattern's scale and residual are
     computed.  Agrees with nearest_filter on every row, including the
     lowest-canonical-index tie rule.  Work is chunked so the
-    (block, len(space)) intermediate stays small.
+    (BLOCK, len(space)) intermediate stays small.
     """
     m = space.m
     mm = m * m
@@ -167,33 +157,35 @@ def project_batch(kernels, space, block: int = 2048):
     rows = np.empty(j, dtype=np.int64)
     scales = np.empty(j)
     residuals = np.empty(j)
-    for lo in range(0, j, block):
-        chunk = kernels[lo:lo + block]
+    for lo in range(0, j, BLOCK):
+        chunk = kernels[lo:lo + BLOCK]
         # einsum, not BLAS: the rounding then does not depend on how many
         # kernels share the call
         dots = np.einsum("jk,nk->jn", chunk, signs)
         pos = np.abs(dots).argmax(axis=1)
         picked = signs[pos]
         scale = (chunk * picked).sum(axis=1) / mm
-        rows[lo:lo + block] = order[pos]
-        scales[lo:lo + block] = scale
-        residuals[lo:lo + block] = ((chunk - scale[:, None] * picked) ** 2).sum(axis=1)
+        rows[lo:lo + BLOCK] = order[pos]
+        scales[lo:lo + BLOCK] = scale
+        residuals[lo:lo + BLOCK] = ((chunk - scale[:, None] * picked) ** 2).sum(axis=1)
     return rows, scales, residuals
 
 
 def select_top_filters(usage_counts, nr: int) -> FilterSpace:
     """Keep the nr most-used patterns.
 
-    Descending count; ties resolved toward the lower canonical index.  The
-    side m is inferred from the histogram length.
+    usage_counts holds one count per canonical index of the full space.
+    Descending count; ties resolved toward the lower canonical index.
     """
     counts = np.asarray(usage_counts, dtype=np.int64)
     if np.any(counts < 0):
         raise ConfigError("usage counts must be nonnegative")
-    m = side_for_size(counts.size)
+    size = space_size(SIDE)
+    if counts.shape != (size,):
+        raise ConfigError(f"usage histogram must hold {size} counts, got {counts.shape}")
     if nr <= 0:
         raise ConfigError(f"number of selected filters must be positive, got {nr}")
     if nr > counts.size:
         raise ConfigError(f"cannot select {nr} filters from a space of {counts.size}")
     order = np.lexsort((np.arange(counts.size), -counts))
-    return reduced_space_from_indices(m, order[:nr])
+    return reduced_space_from_indices(SIDE, order[:nr])

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError
+from .haar_space import SIDE
 
 DEFAULT_WINDOW = 48
 DEFAULT_TRUNK = (64, 128, 256, 256)
@@ -46,9 +47,9 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in ("conv", "maxpool", "gap", "softmax"):
             raise ConfigError(f"unknown layer kind {self.kind!r}")
-        if self.constrained and self.kernel_size < 3:
-            raise ConfigError(
-                f"layer {self.name}: only kernels of size >= 3 can be constrained")
+        if self.constrained and self.kernel_size != SIDE:
+            raise ConfigError(f"layer {self.name}: only {SIDE}x{SIDE} kernels "
+                              "can be constrained")
         if self.kind == "conv" and self.kernel_size not in (1, 3):
             raise ConfigError(f"layer {self.name}: kernel size must be 1 or 3")
         if self.kind == "conv" and min(self.in_channels,

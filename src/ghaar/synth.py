@@ -202,7 +202,10 @@ def load_manifest(src_dir) -> DatasetManifest:
             if line.startswith("split "):
                 split = line.split(None, 1)[1]
             elif line.startswith("seed "):
-                seed = int(line.split(None, 1)[1])
+                try:
+                    seed = int(line.split(None, 1)[1])
+                except ValueError:
+                    raise DataError(f"{path}: seed line {line!r} is not an integer")
             else:
                 names.append(line)
     entries = []

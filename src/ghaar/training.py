@@ -53,7 +53,7 @@ class TrainConfig:
     phi: float = 0.1             # regularizer weight
     q: int = 8                   # smooth-min sharpness
     nr: int = 32                 # reduced-space size
-    m: ClassVar[int] = 3         # pattern side: every constrained kernel is 3x3
+    m: ClassVar[int] = hs.SIDE   # pattern side: every constrained kernel is 3x3
     loss_weights: tuple = (1.0, 1.0)   # (localization, classification)
     seed: int = 0
     constrain: bool = True       # network_spec's flag; the spec decides
@@ -124,8 +124,7 @@ def _regularizer_batch(flat, signs, phi: float, q: int):
 def haar_regularizer(w, space, phi: float, q: int):
     """(value, grad) of the smooth-min pull for one m x m kernel."""
     check_pull(phi, q)
-    m = space.m
-    flat = hs._flat_kernel(w, m)
+    flat = hs._flat_kernel(w)
     value, grad = _regularizer_batch(flat[None, :], space.signs, phi, q)
     return float(value), grad[0].reshape(np.asarray(w).shape)
 
@@ -183,12 +182,12 @@ def cla_loss(probs, labels):
     return value, grad
 
 
-def _pulled(params, m):
-    """(name, trained weights) of every m x m conv, the ones the smooth-min
+def _pulled(params):
+    """(name, trained weights) of every 3x3 conv, the ones the smooth-min
     pull acts on."""
     return [(layer.name, params.layers[layer.name].trained)
             for layer, _ in params.spec.conv_layers()
-            if layer.kernel_size == m]
+            if layer.kernel_size == hs.SIDE]
 
 
 def _unit_pull(flat, signs, phi: float, q: int):
@@ -237,7 +236,7 @@ def train_step(params, x, loc_target, labels, space, cfg: TrainConfig, lr: float
     grads = nn.backward(params, cache, w_loc * lg, w_cla * cg)
     if cfg.phi > 0:
         mm = space.m * space.m
-        for name, base in _pulled(params, space.m):
+        for name, base in _pulled(params):
             o, c, k, _ = base.shape
             rv, rg = _unit_pull(base.reshape(o * c, mm), space.signs,
                                 cfg.phi, cfg.q)
@@ -265,7 +264,7 @@ def mean_nearest_residual(params, space) -> float:
     """
     mm = space.m * space.m
     chunks = [hs.project_batch(base.reshape(-1, mm), space)[2]
-              for _, base in _pulled(params, space.m)]
+              for _, base in _pulled(params)]
     if not chunks:
         return 0.0
     return float(np.concatenate(chunks).mean())

@@ -12,6 +12,8 @@ import pytest
 from ghaar import cli
 from ghaar import compressed as cm
 from ghaar import config as cf
+from ghaar import haar_space as hs
+from ghaar import nn_core as nn
 from ghaar import pipeline as pl
 from ghaar import ppm
 from ghaar import synth as sy
@@ -275,6 +277,35 @@ def test_exit_code_format_error(workspace, tmp_path):
     path = tmp_path / "broken.ghnw"
     path.write_bytes(bytes(bad))
     assert cli.main(["inspect-model", "--model", str(path)]) == 4
+
+
+def test_non_integer_manifest_seed_is_data_error(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    manifest = (workspace["data"] / "manifest.txt").read_text()
+    (data / "manifest.txt").write_text(
+        "".join("seed one\n" if line.startswith("seed ") else line + "\n"
+                for line in manifest.splitlines()))
+    assert cli.main(["train", "-c", str(workspace["cfg"]), "--data",
+                     str(data), "-o", str(tmp_path / "run")]) == 3
+    assert "seed line 'seed one' is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", [2, 4])
+def test_inspect_model_refuses_a_pattern_side_other_than_3(tmp_path, capsys,
+                                                          side):
+    spec = nn.build_network_spec(
+        in_channels=3, classes=3, window=16, trunk_widths=(2, 3, 3, 3),
+        head_widths=(3, 3), bottleneck=2, constrained=False)
+    data = bytearray(cm.encode_model(cm.compress(
+        nn.init_params(spec, seed=0), hs.reduced_space_from_indices(3, [0]))))
+    side_off = len(cm.MAGIC) + 1 + 16 + 4 + len(cm.serialize_spec(spec))
+    data[side_off] = side
+    path = tmp_path / "side.ghnw"
+    path.write_bytes(bytes(data))
+    assert cli.main(["inspect-model", "-m", str(path)]) == 4
+    assert (f"format error: pattern side {side} is not 3 "
+            f"(at byte offset {side_off})" in capsys.readouterr().err)
 
 
 def test_exit_code_infeasible_scene(tmp_path):

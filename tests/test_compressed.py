@@ -1,7 +1,6 @@
 """Codec round trips, fast-path fidelity, and operation accounting."""
 
 import copy
-import dataclasses
 import functools
 import hashlib
 import struct
@@ -156,13 +155,6 @@ def test_encode_refuses_what_the_file_cannot_hold(layer, field, value):
         cm.encode_model(model)
 
 
-def test_encode_refuses_a_table_one_byte_cannot_index():
-    model = cm.compress(*trained_like_params(seed=4))
-    big = dataclasses.replace(model, space=hs.enumerate_space(4))
-    with pytest.raises(ConfigError, match="256 entries"):
-        cm.encode_model(big)
-
-
 def test_compress_ships_no_accumulators_and_leaves_params_alone():
     params, space = trained_like_params(seed=5)
     before = copy.deepcopy(params)
@@ -261,11 +253,16 @@ CLA_TAIL = "layer cla_gap gap 0 0 0 0 0\nlayer cla_softmax softmax 0 0 0 0 0\n"
     ([(LOC_GAP, "layer loc_softmax softmax 0 0 0 0 0\n" + LOC_GAP)],
      "loc_softmax: softmax outside a head's tail"),
     ([(TRUNK_LINES, "")], "the shared trunk has no layers"),
+    # texts of a valid graph that serialize_spec would not write, so
+    # re-encoding them would give other bytes
+    ([("classes 3\n", "classes 3\n\n")], "not the canonical text"),
+    ([("layer conv1 conv", "layer conv1  conv")], "not the canonical text"),
+    ([("conv1 conv 3 2 3 1 1", "conv1 conv 3 2 3 1 2")], "not the canonical text"),
 ], ids=["channel-chain", "odd-pool", "repeated-name", "loc-width",
         "classes-width", "short-header", "empty-input", "zero-width-conv",
         "conv-after-gap", "no-loc-gap", "no-cla-softmax",
         "softmax-before-gap", "gap-in-trunk", "softmax-in-loc-head",
-        "empty-trunk"])
+        "empty-trunk", "blank-line", "doubled-space", "flag-2"])
 def test_decode_refuses_specs_that_cannot_run(edits, message):
     spec = trained_like_params()[0].spec
     text = cm.serialize_spec(spec).decode("ascii")
@@ -275,6 +272,21 @@ def test_decode_refuses_specs_that_cannot_run(edits, message):
         text = text.replace(old, new)
     with pytest.raises(FormatError, match=f"bad spec block: .*{message}"):
         cm.decode_model(model_bytes_for(text))
+
+
+@pytest.mark.parametrize("side", [2, 4])
+def test_decode_refuses_a_pattern_side_other_than_3(side):
+    spec = nn.build_network_spec(
+        in_channels=2, classes=3, window=16, trunk_widths=(3, 4, 4, 4),
+        head_widths=(4, 4), bottleneck=3, constrained=False)
+    text = cm.serialize_spec(spec)
+    data = bytearray(model_bytes_for(text.decode("ascii")))
+    side_off = 25 + len(text)
+    assert data[side_off] == 3 and cm.decode_model(bytes(data)).spec == spec
+    data[side_off] = side
+    with pytest.raises(FormatError, match=f"pattern side {side} is not 3") as err:
+        cm.decode_model(bytes(data))
+    assert err.value.offset == side_off
 
 
 @functools.lru_cache(maxsize=None)
@@ -542,6 +554,7 @@ def test_paper_trunk_arithmetic():
     dims = [(3, 64), (64, 128), (128, 256), (256, 256), (256, 128)]
     kernels = sum(i * o for i, o in dims)
     assert kernels == 139456
-    assert kernels * cm.DENSE_KERNEL_BYTES == 5020416
+    dense_bytes = 4 * 3 * 3   # one float32 3x3 kernel
+    assert kernels * dense_bytes == 5020416
     assert kernels * cm.RECORD_SIZE == 697280
-    assert (kernels * cm.DENSE_KERNEL_BYTES) / (kernels * cm.RECORD_SIZE) == 7.2
+    assert (kernels * dense_bytes) / (kernels * cm.RECORD_SIZE) == 7.2

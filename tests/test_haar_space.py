@@ -21,27 +21,26 @@ def brute_nearest(w, signs, indices):
 
 
 def test_space_sizes():
-    assert len(hs.enumerate_space(2)) == 8
     assert len(hs.enumerate_space(3)) == 256
-    assert hs.space_size(4) == 2 ** 15
 
 
 def test_side_limits():
-    with pytest.raises(ConfigError):
-        hs.enumerate_space(1)
-    with pytest.raises(ConfigError):
-        hs.enumerate_space(5)
+    assert hs.SIDE == hs.FilterSpace.m == hs.SignPattern.m == 3
+    for m in (1, 2, 4, 5):
+        with pytest.raises(ConfigError, match="side must be 3"):
+            hs.space_size(m)
+        with pytest.raises(ConfigError, match="side must be 3"):
+            hs.enumerate_space(m)
 
 
 def test_all_patterns_canonical_and_distinct():
-    for m in (2, 3):
-        space = hs.enumerate_space(m)
-        seen = set()
-        for p in (space[i] for i in range(len(space))):
-            assert p.cells[0, 0] == 1
-            assert set(np.unique(p.cells)) <= {-1, 1}
-            seen.add(p.cells.tobytes())
-        assert len(seen) == len(space)
+    space = hs.enumerate_space(3)
+    seen = set()
+    for p in (space[i] for i in range(len(space))):
+        assert p.cells[0, 0] == 1
+        assert set(np.unique(p.cells)) <= {-1, 1}
+        seen.add(p.cells.tobytes())
+    assert len(seen) == len(space)
 
 
 def test_index_extremes():
@@ -142,8 +141,9 @@ def test_select_top_filters_validation():
         hs.select_top_filters(np.ones(256), 0)
     with pytest.raises(ConfigError):
         hs.select_top_filters(np.ones(256), 257)
-    with pytest.raises(ConfigError):
-        hs.select_top_filters(np.ones(100), 4)  # not a power-of-two space size
+    for size in (8, 100, 32768):   # the m=2 and m=4 space sizes, and neither
+        with pytest.raises(ConfigError, match="must hold 256 counts"):
+            hs.select_top_filters(np.ones(size), 4)
     bad = np.ones(256)
     bad[3] = -1
     with pytest.raises(ConfigError):
@@ -160,7 +160,8 @@ def test_reduced_space_round_trip():
         assert reduced[row].canonical_index == idx
 
 
-def test_project_batch_agrees_with_single():
+def test_project_batch_agrees_with_single(monkeypatch):
+    monkeypatch.setattr(hs, "BLOCK", 7)   # many chunks, the last one short
     rng = np.random.default_rng(21)
     full = hs.enumerate_space(3)
     counts = np.zeros(256, dtype=np.int64)
@@ -169,7 +170,7 @@ def test_project_batch_agrees_with_single():
     flat = rng.normal(size=(40, 9))
     flat[5] = 0.0  # exercises the all-tie path
     for space in (full, reduced):
-        rows, scales, residuals = hs.project_batch(flat, space, block=7)
+        rows, scales, residuals = hs.project_batch(flat, space)
         for i in range(flat.shape[0]):
             single = hs.nearest_filter(flat[i], space)
             assert int(space.indices[rows[i]]) == single.index, i
