@@ -23,7 +23,9 @@ File layout (all integers little-endian):
         otherwise:   O*C*k*k x f32 kernel, then O x f32 bias
 
 The digest is the first 16 bytes of SHA-256 over the spec text, so a model
-cannot be loaded against a different architecture unnoticed.
+cannot be loaded against a different architecture unnoticed.  The spec
+text is exactly what serialize_spec writes, and the table a non-empty list
+of distinct indices below 256 (reduced_space_from_indices' rule).
 """
 
 import hashlib
@@ -108,61 +110,40 @@ def serialize_spec(spec: nn.NetworkSpec) -> bytes:
 
 
 def parse_spec(blob: bytes, base_offset: int = 0) -> nn.NetworkSpec:
-    try:
-        lines = blob.decode("ascii").splitlines()
-    except UnicodeDecodeError:
-        raise FormatError("spec block is not ascii text", offset=base_offset)
-
+    """The layer graph whose serialize_spec text is exactly blob, so
+    decode -> encode gives back the same bytes.  A graph that cannot run
+    keeps NetworkSpec's or LayerSpec's reason; any other text is refused
+    as not canonical."""
     def fail(msg):
         raise FormatError(f"bad spec block: {msg}", offset=base_offset)
 
-    if not lines or lines[0] != f"ghaar-net {VERSION}":
-        fail("missing or wrong signature line")
-    header, arity = {}, {"input": 2, "classes": 1}
-    sections = {"trunk": [], "loc": [], "cla": []}
-    current = None
-    for line in lines[1:]:
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] in arity:
-            if (len(parts) != arity[parts[0]] + 1
-                    or not all(p.isdigit() for p in parts[1:])):
-                fail(f"malformed header line {line!r}")
-            header[parts[0]] = [int(p) for p in parts[1:]]
-        elif parts[0] == "section":
-            if len(parts) != 2 or parts[1] not in sections:
-                fail(f"unknown section {line!r}")
-            current = sections[parts[1]]
-        elif parts[0] == "layer":
-            if current is None or len(parts) != 8:
-                fail(f"malformed layer line {line!r}")
-            try:
-                current.append(nn.LayerSpec(
-                    parts[1], parts[2], int(parts[3]), int(parts[4]),
-                    int(parts[5]), bool(int(parts[6])), bool(int(parts[7]))))
-            except (ValueError, ConfigError) as exc:
-                fail(str(exc))
-        else:
-            fail(f"unknown directive {parts[0]!r}")
-    if "input" not in header or "classes" not in header:
-        fail("missing input/classes header")
     try:
+        _, (_, c, size), (_, classes), *rest = (
+            line.split() for line in blob.decode("ascii").splitlines())
+        sections, layers = {}, []      # a layer before any section is lost
+        for words in rest:
+            if words[:1] == ["section"]:
+                layers = sections[words[1]] = []
+            else:
+                _, name, kind, k, ci, co, con, relu = words
+                layers.append(nn.LayerSpec(name, kind, int(k), int(ci),
+                                           int(co), con == "1", relu == "1"))
         spec = nn.NetworkSpec(
-            input_size=header["input"][1], in_channels=header["input"][0],
-            classes=header["classes"][0],
+            input_size=int(size), in_channels=int(c), classes=int(classes),
             shared_trunk=tuple(sections["trunk"]),
             loc_head=tuple(sections["loc"]), cla_head=tuple(sections["cla"]))
     except ConfigError as exc:      # a graph that cannot run
         fail(str(exc))
-    # one text per graph, so decode -> encode gives back the same bytes
-    if serialize_spec(spec) != blob:
-        fail("not the canonical text of its layer graph")
+    except (ValueError, LookupError):
+        spec = None
+    if spec is None or serialize_spec(spec) != blob:
+        fail("not the canonical text of a layer graph")
     return spec
 
 
-def spec_digest(spec: nn.NetworkSpec) -> bytes:
-    return hashlib.sha256(serialize_spec(spec)).digest()[:16]
+def _digest(text: bytes) -> bytes:
+    """The file's check on its spec text: the first 16 bytes of SHA-256."""
+    return hashlib.sha256(text).digest()[:16]
 
 
 def expected_size(spec: nn.NetworkSpec, nr: int) -> int:
@@ -215,7 +196,7 @@ def _encode(spec, space, params) -> bytes:
     out = bytearray()
     out += MAGIC
     out.append(VERSION)
-    out += spec_digest(spec)
+    out += _digest(blob)
     out += struct.pack("<I", len(blob))
     out += blob
     out.append(hs.SIDE)
@@ -286,7 +267,7 @@ def decode_model(data: bytes) -> CompressedModel:
     (spec_len,) = cur.unpack("<I", "spec length")
     spec_start = cur.pos
     blob = cur.take(spec_len, "spec block")
-    if hashlib.sha256(blob).digest()[:16] != digest:
+    if _digest(blob) != digest:
         raise FormatError("spec digest mismatch", offset=5)
     spec = parse_spec(blob, base_offset=spec_start)
 
@@ -295,13 +276,9 @@ def decode_model(data: bytes) -> CompressedModel:
         raise FormatError(f"pattern side {m} is not {hs.SIDE}",
                           offset=cur.pos - 1)
     (nr,) = cur.unpack("<H", "pattern count")
-    if nr == 0 or nr > 256:
-        raise FormatError(f"pattern count {nr} out of range", offset=cur.pos - 2)
     idx_off = cur.pos
     indices = np.frombuffer(cur.take(4 * nr, "pattern table"), dtype="<u4")
-    if indices.max() >= hs.space_size(m):
-        raise FormatError("canonical index out of range", offset=idx_off)
-    try:
+    try:     # refuses an empty, repeated or out-of-range table
         space = hs.reduced_space_from_indices(m, indices.astype(np.int64))
     except ConfigError as exc:
         raise FormatError(f"bad pattern table: {exc}", offset=idx_off)

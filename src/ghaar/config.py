@@ -137,11 +137,12 @@ def _set_keys(cfg, getters):
 
 
 # config key -> typed getter; each key names a TrainConfig field, except
-# ws (the window field) and loss_w_loc/loss_w_cla (the loss_weights pair)
+# ws (the window field) and loss_w_loc/loss_w_cla (the loss_weights pair).
+# in_channels is no key: train extracts RGB samples, so only 3 can run
 _TRAIN_KEYS = dict(
     epochs=get_int, phase_a_epochs=get_int, lr=get_float, lr_decay=get_float,
     decay_every=get_int, batch_size=get_int, phi=get_float, q=get_int,
-    nr=get_int, constrain=get_bool, in_channels=get_int, classes=get_int,
+    nr=get_int, constrain=get_bool, classes=get_int,
     trunk_widths=get_int_tuple, head_widths=get_int_tuple,
     bottleneck=get_int)
 

@@ -158,7 +158,7 @@ def _mean_shift_group(dets, bandwidth_frac):
 
 def mean_shift_refine(dets, bandwidth_frac=MEAN_SHIFT_BANDWIDTH):
     """Cluster same-label detections; one score-weighted box per cluster."""
-    if bandwidth_frac <= 0.0:
+    if not bandwidth_frac > 0.0:
         raise ConfigError(f"bandwidth_frac must be positive, got {bandwidth_frac}")
     if not dets:
         return []
@@ -194,9 +194,15 @@ def detect_image(model, image, cam=None, ranges=None, *,
     forward_fast, so counter gets k*k multiplies per step.  Background
     label 0, scores below score_thresh and degenerate boxes are dropped
     before refinement; final_windows gives the windows a pass runs.
-    DataError, before any window is built, when the model does not take the
-    3-channel windows an RGB image yields.
+    Before any window is built: ConfigError on a setting outside its range,
+    and DataError when the model does not take the 3-channel windows an RGB
+    image yields.
     """
+    if not 0.0 <= score_thresh <= 1.0:
+        raise ConfigError(f"score_thresh must be in [0, 1], got {score_thresh}")
+    # each refuses a bad setting before it looks at its detections
+    mean_shift_refine([], bandwidth_frac)
+    nms([], nms_iou)
     if model.spec.in_channels != 3:
         raise DataError(f"model takes {model.spec.in_channels}-channel "
                         "input; detection feeds it RGB windows")

@@ -249,8 +249,9 @@ def extract_samples(manifest: DatasetManifest, src_dir, *, ws=DEFAULT_WS,
     bg_ratio per positive.  Returns (patches, loc, labels) with patches as
     uint8 (N, ws, ws, 3) so large sets stay small in memory.
     """
-    if n_jitter < 1 or bg_ratio < 0:
-        raise ConfigError("n_jitter must be >= 1 and bg_ratio >= 0")
+    if n_jitter < 1 or bg_ratio < 0 or jitter_frac < 0:
+        raise ConfigError("n_jitter must be >= 1, and bg_ratio and "
+                          "jitter_frac >= 0")
     rng = np.random.default_rng(seed)
     patches, locs, labels = [], [], []
 

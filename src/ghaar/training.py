@@ -81,6 +81,7 @@ class TrainConfig:
         if not 1 <= self.nr <= hs.space_size(self.m):
             raise ConfigError(f"reduced-space size must be in [1, "
                               f"{hs.space_size(self.m)}], got {self.nr}")
+        self.network_spec()     # refuse a graph that cannot run, up front
 
     def network_spec(self):
         return nn.build_network_spec(

@@ -98,6 +98,8 @@ def _level_sizes(shape, ws, ratio):
     shaped (h, w, ...), down to the last one not below ws on a side."""
     if not ratio > 1:
         raise ConfigError(f"pyramid ratio must exceed 1, got {ratio}")
+    if ws < 1:
+        raise ConfigError(f"window size must be >= 1, got {ws}")
     h, w = shape[:2]
     if min(h, w) < ws:
         raise DataError(f"image {w}x{h} is smaller than the {ws}px window")

@@ -1,9 +1,10 @@
 """Acceptance gate: the headline claims, each as one pass/fail line.
 
-Every test prints a single `[accept N] PASS/FAIL` line through the terminal
-reporter (so it survives pytest's capture) and then asserts.  Tolerances are
-pinned as module constants; the numbered order matches the project's
-acceptance list.
+Every test writes a single `[accept N] PASS/FAIL` line through the terminal
+reporter and then asserts.  pytest's default fd capture swallows those
+lines: they show only under `-s` or `--capture=sys`, where each may follow
+the previous test's progress dot.  Tolerances are pinned as module
+constants; the numbered order matches the project's acceptance list.
 """
 
 import dataclasses

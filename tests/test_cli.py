@@ -52,7 +52,6 @@ batch_size = 16
 phi = 0.1
 q = 8
 nr = 8
-in_channels = 3
 classes = 3
 trunk_widths = 2 3 3 3
 head_widths = 3 3
@@ -388,7 +387,6 @@ def test_misspelt_key_is_refused_before_any_image(workspace, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("old, new, what", [
-    ("in_channels = 3", "in_channels = 1", "samples have shape"),
     ("classes = 3", "classes = 2", "labels span 0..2"),
 ])
 def test_train_refuses_samples_the_network_cannot_take(
@@ -479,6 +477,50 @@ def test_zero_decay_interval_is_refused_before_any_image(workspace, tmp_path,
                      str(workspace["data"]), "-o", str(tmp_path / "run")]) == 2
     assert "config error: lr decay interval" in capsys.readouterr().err
     assert reads == [] and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("ws, what", [
+    ("0", "input needs channels and a size"),
+    ("-16", "input needs channels and a size"),
+    ("7", "layer pool1 cannot pool a 7x7 map")])
+def test_train_refuses_a_graph_that_cannot_run_before_any_image(
+        workspace, tmp_path, capsys, reads, ws, what):
+    cfg = tmp_path / "ws.cfg"
+    cfg.write_text(SMALL_CONFIG.replace("ws = 16", f"ws = {ws}"))
+    assert cli.main(["train", "-c", str(cfg), "--data",
+                     str(workspace["data"]), "-o", str(tmp_path / "run")]) == 2
+    assert f"config error: {what}" in capsys.readouterr().err
+    assert reads == [] and not (tmp_path / "run").exists()
+
+
+def test_negative_jitter_is_refused_before_any_sample(workspace, tmp_path,
+                                                       capsys, reads):
+    cfg = tmp_path / "jitter.cfg"
+    cfg.write_text(SMALL_CONFIG + "jitter_frac = -1\n")
+    for argv in (["train", "-c", str(cfg), "--data", str(workspace["data"]),
+                  "-o", str(tmp_path / "run")],
+                 ["eval", "-c", str(cfg), "-m", str(workspace["model"]),
+                  "--data", str(workspace["data"])]):
+        assert cli.main(argv) == 2, argv[0]
+        assert "jitter_frac >= 0" in capsys.readouterr().err, argv[0]
+    assert reads == []
+
+
+@pytest.mark.parametrize("key, value, what", [
+    ("score_thresh", "2", "score_thresh must be in [0, 1], got 2.0"),
+    ("score_thresh", "-1", "score_thresh must be in [0, 1], got -1.0"),
+    ("bandwidth_frac", "0", "bandwidth_frac must be positive"),
+    ("nms_iou", "0", "iou_thresh must be in (0, 1]")])
+def test_eval_refuses_detection_settings_before_any_window(
+        workspace, tmp_path, capsys, monkeypatch, key, value, what):
+    built = []
+    monkeypatch.setattr(pl, "final_windows", lambda *a, **kw: built.append(a))
+    cfg = tmp_path / "detect.cfg"
+    cfg.write_text(SMALL_CONFIG + f"{key} = {value}\n")
+    assert cli.main(["eval", "-c", str(cfg), "-m", str(workspace["model"]),
+                     "--data", str(workspace["data"])]) == 2
+    assert f"config error: {what}" in capsys.readouterr().err
+    assert built == []
 
 
 def test_train_reads_the_seed_key_unless_seed_is_given(workspace, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ghaar.errors import ConfigError, DimensionError, FormatError
+from ghaar import cli
 from ghaar import compressed as cm
 from ghaar import haar_space as hs
 from ghaar import nn_core as nn
@@ -214,7 +215,7 @@ def model_bytes_for(spec_text):
             k, c, o, constrained = (int(p) for p in parts[3:7])
             per_kernel = cm.RECORD_SIZE if constrained else 4 * k * k
             payload += bytes(per_kernel * o * c + 4 * o)
-    blob = spec_text.encode("ascii")
+    blob = spec_text.encode("utf-8")
     return (cm.MAGIC + bytes([cm.VERSION]) + hashlib.sha256(blob).digest()[:16]
             + struct.pack("<I", len(blob)) + blob + bytes(payload))
 
@@ -235,7 +236,7 @@ CLA_TAIL = "layer cla_gap gap 0 0 0 0 0\nlayer cla_softmax softmax 0 0 0 0 0\n"
     ([("layer conv2 conv", "layer conv1 conv")], "repeated layer name"),
     ([("loc_out conv 1 3 4", "loc_out conv 1 3 3")], "loc head yields 3"),
     ([("classes 3", "classes 4")], "cla head yields 3 values for 4"),
-    ([("input 2 16", "input 2")], "malformed header"),
+    ([("input 2 16", "input 2")], "not the canonical text"),
     ([("input 2 16", "input 2 0")], "input needs channels and a size"),
     ([("classes 3", "classes 0"), ("cla_out conv 1 3 3", "cla_out conv 1 3 0")],
      "channels must be >= 1"),
@@ -258,20 +259,59 @@ CLA_TAIL = "layer cla_gap gap 0 0 0 0 0\nlayer cla_softmax softmax 0 0 0 0 0\n"
     ([("classes 3\n", "classes 3\n\n")], "not the canonical text"),
     ([("layer conv1 conv", "layer conv1  conv")], "not the canonical text"),
     ([("conv1 conv 3 2 3 1 1", "conv1 conv 3 2 3 1 2")], "not the canonical text"),
+    # serialize_spec is the only grammar: any other text is one refusal
+    ([("ghaar-net 1", "ghaar-net 2")], "not the canonical text"),
+    ([("layer conv1", "layer c\u00f6nv1")], "not the canonical text"),
+    ([("section loc\n", "section aux\n")], "not the canonical text"),
+    ([("layer conv1 conv", "lay conv1 conv")], "not the canonical text"),
+    ([("conv1 conv 3 2 3 1 1", "conv1 conv 3 2 3 1")], "not the canonical text"),
+    ([("section trunk\n", "layer x maxpool 0 0 0 0 0\nsection trunk\n")],
+     "not the canonical text"),
+    ([("classes 3\n", "")], "not the canonical text"),
 ], ids=["channel-chain", "odd-pool", "repeated-name", "loc-width",
         "classes-width", "short-header", "empty-input", "zero-width-conv",
         "conv-after-gap", "no-loc-gap", "no-cla-softmax",
         "softmax-before-gap", "gap-in-trunk", "softmax-in-loc-head",
-        "empty-trunk", "blank-line", "doubled-space", "flag-2"])
-def test_decode_refuses_specs_that_cannot_run(edits, message):
+        "empty-trunk", "blank-line", "doubled-space", "flag-2",
+        "wrong-signature", "non-ascii", "unknown-section",
+        "unknown-directive", "seven-field-layer", "layer-before-section",
+        "no-classes-line"])
+def test_decode_refuses_specs_that_cannot_run(tmp_path, capsys, edits,
+                                              message):
     spec = trained_like_params()[0].spec
     text = cm.serialize_spec(spec).decode("ascii")
     assert cm.decode_model(model_bytes_for(text)).spec == spec
     for old, new in edits:
         assert old in text
         text = text.replace(old, new)
-    with pytest.raises(FormatError, match=f"bad spec block: .*{message}"):
+    with pytest.raises(FormatError, match=f"bad spec block: .*{message}") as err:
         cm.decode_model(model_bytes_for(text))
+    assert err.value.offset == 25
+    path = tmp_path / "spec.ghnw"
+    path.write_bytes(model_bytes_for(text))
+    assert cli.main(["inspect-model", "-m", str(path)]) == 4
+    assert "format error: bad spec block" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table, reason", [
+    (b"", "at least one filter"),
+    (struct.pack("<I", 256), "out of range"),
+    (struct.pack("<2I", 5, 5), "must be distinct"),
+], ids=["zero-count", "index-256", "repeated-index"])
+def test_decode_refuses_a_bad_pattern_table(tmp_path, capsys, table, reason):
+    text = cm.serialize_spec(trained_like_params()[0].spec)
+    data = model_bytes_for(text.decode("ascii"))
+    table_off = 25 + len(text) + 3           # after the side and the count
+    assert data[table_off - 2:table_off + 4] == struct.pack("<HI", 1, 0)
+    data = (data[:table_off - 2] + struct.pack("<H", len(table) // 4) + table
+            + data[table_off + 4:])
+    with pytest.raises(FormatError, match=f"bad pattern table: .*{reason}") as err:
+        cm.decode_model(data)
+    assert err.value.offset == table_off
+    path = tmp_path / "table.ghnw"
+    path.write_bytes(data)
+    assert cli.main(["inspect-model", "-m", str(path)]) == 4
+    assert "format error: bad pattern table" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("side", [2, 4])

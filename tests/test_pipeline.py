@@ -273,7 +273,7 @@ def test_detect_image_threshold_filters_everything():
     model = tiny_model()
     rng = np.random.default_rng(23)
     image = rng.integers(0, 256, size=(40, 40, 3), dtype=np.uint8)
-    assert pl.detect_image(model, image, score_thresh=2.0) == []
+    assert pl.detect_image(model, image, score_thresh=1.0) == []
 
 
 def test_detect_image_independent_of_batch_size():

@@ -430,6 +430,17 @@ def test_fit_refuses_samples_before_the_first_step(monkeypatch, train_kw,
     assert steps == []
 
 
+def test_fit_refuses_rgb_samples_for_a_one_channel_network(monkeypatch):
+    # the uint8 (N, H, W, 3) patches extract_samples yields
+    steps = []
+    monkeypatch.setattr(tr, "train_step", lambda *a: steps.append(a))
+    x = np.zeros((8, 16, 16, 3), dtype=np.uint8)
+    with pytest.raises(ConfigError, match=r"training samples have shape "
+                       r"\(3, 16, 16\), the network takes \(1, 16, 16\)"):
+        tr.fit(x, np.zeros((8, 4)), np.zeros(8, dtype=int), small_cfg())
+    assert steps == []
+
+
 def test_fit_is_bitwise_reproducible():
     cfg1 = small_cfg(epochs=2, nr=8, seed=33)
     cfg2 = small_cfg(epochs=2, nr=8, seed=33)

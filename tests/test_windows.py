@@ -89,11 +89,13 @@ def test_coverage_refuses_a_canvas_smaller_than_the_window():
 
 @pytest.mark.parametrize("grid, match", [
     (dict(ratio=float("nan")), "pyramid ratio"),
-    (dict(stride_frac=0.001), "stride fraction")])     # a 0 px step
+    (dict(stride_frac=0.001), "stride fraction"),      # a 0 px step
+    (dict(ws=0), "window size must be >= 1"),
+    (dict(ws=-16), "window size must be >= 1")])
 def test_final_windows_refuses_a_grid_it_cannot_build(grid, match):
     image = np.zeros((40, 40, 3), dtype=np.uint8)
     with pytest.raises(ConfigError, match=match):
-        wd.final_windows(image, ws=16, **grid)
+        wd.final_windows(image, **{"ws": 16, **grid})
 
 
 def test_projection_hand_values():
