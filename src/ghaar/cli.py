@@ -100,6 +100,8 @@ def cmd_eval(args):
         edges = pl.check_band_edges(cf.get_float_tuple(cfg, "bands"))
         kw = dict(cam=cam, d3d=ranges.d3d,
                   band_edges=list(zip(edges, edges[1:])))
+    ex = cf.extract_params_from_config(cfg)
+    sy.check_extract_settings(**ex)
     model = _load_model(args.model)
     manifest = sy.load_manifest(args.data)
     dets_by = {}
@@ -107,7 +109,6 @@ def cmd_eval(args):
         image = ppm.read_ppm(os.path.join(args.data, name))
         dets_by[name] = pl.detect_image(model, image, cam, ranges, **settings)
     rep = pl.evaluate(dets_by, dict(manifest.entries), **kw)
-    ex = cf.extract_params_from_config(cfg)
     wx, wloc, wlab = sy.extract_samples(manifest, args.data,
                                         ws=model.spec.input_size,
                                         ratio=settings["ratio"],

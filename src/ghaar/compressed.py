@@ -362,19 +362,6 @@ def _conv_fast(x, lp, space, layer):
     return out.reshape(o, n, ho, wo)
 
 
-def layer_positions(spec):
-    """Output positions (h*w) of every conv layer, from the input size."""
-    out = {}
-
-    def conv(layer, x):
-        out[layer.name] = x.shape[2] * x.shape[3]
-        return np.zeros((layer.out_channels, 1) + x.shape[2:]), None
-
-    size = (1, spec.in_channels, spec.input_size, spec.input_size)
-    nn.run_network(spec, np.zeros(size), conv)
-    return out
-
-
 def _run(model, x, counter, fast):
     """run_network with _conv_fast on constrained layers when fast is set
     and the dense conv otherwise; tallies each conv into the counter from

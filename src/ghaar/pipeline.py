@@ -8,6 +8,7 @@ edge, 1 its max edge, values outside [0, 1] describe overhang.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,9 +29,10 @@ DETECT_SCORE_THRESH = 0.5
 DETECT_NMS_IOU = 0.7
 MEAN_SHIFT_BANDWIDTH = 0.3
 EVAL_IOU = 0.7
-# windows per forward_dense call: fastest of 32/64/128/256 on the perfbench
-# frames (2 cores), 55 ms per 160x120 frame and 558 ms per 1024x768 one;
-# conv1's im2col columns take 14 MB at 64 windows
+# windows per forward_dense call.  Per frame on the seed-101 perfbench frames
+# (2 cores), 32 and 64 tie on 160x120 frames (42-46 ms; 128 and 256 are
+# slower) and 32 is 3-11% faster on 1024x768 ones (228-300 against 257-310
+# ms); conv1's im2col columns take 14 MB at 64 windows
 DETECT_BATCH_SIZE = 64
 
 
@@ -111,11 +113,118 @@ def _features(dets):
     return np.stack([cx, cy, lw, lh], axis=1)
 
 
+# elements per temporary in refinement: mean shift takes its neighbour
+# pairs, and nms its IoU rows, in blocks of about this many
+_BLOCK = 1 << 16
+
+
+def _cells(pts):
+    # kept in float64: the cell of any finite coordinate is exact, and a
+    # cell +-1 is exact below 2**53, beyond which points within 1 of each
+    # other are equal
+    return np.floor(pts[:, :2])
+
+
+class _Grid:
+    """Points bucketed on unit cells of their first two coordinates.
+
+    A point within distance 1 of q is within 1 of it on each coordinate,
+    so it lies in the 3x3 block of cells around q's cell.  Points are
+    sorted by column, then row, each counted by its rank among the occupied
+    ones, so the block's points form at most three runs: one per column.
+    """
+
+    def __init__(self, pts):
+        self.pts = pts
+        cells = _cells(pts)
+        self.cols, self.rows = (np.unique(cells[:, a]) for a in (0, 1))
+        key = self._key(np.searchsorted(self.cols, cells[:, 0]),
+                        np.searchsorted(self.rows, cells[:, 1]))
+        self.order = np.argsort(key, kind="stable")
+        self.keys = key[self.order]
+
+    def _key(self, col, row):
+        return col * len(self.rows) + row
+
+    def blocks(self, pts):
+        """(Q, 3) starts, in self.order, and lengths of the point runs in
+        the 3x3 block of cells around each of the Q query points."""
+        cells = _cells(pts)
+        col0, col_end, row0, row_end = (
+            np.searchsorted(axis, cells[:, a] + step, side=side)
+            for axis, a in ((self.cols, 0), (self.rows, 1))
+            for step, side in ((-1.0, "left"), (1.0, "right")))
+        col = col0[:, None] + np.arange(3)
+        start = np.searchsorted(self.keys, self._key(col, row0[:, None]))
+        end = np.searchsorted(self.keys, self._key(col, row_end[:, None]))
+        return start, np.where(col < col_end[:, None], end - start, 0)
+
+    def pairs(self, start, length):
+        """(query row, point index) for every point in the runs that
+        blocks() gave, grouped by query row."""
+        n = length.ravel()
+        pos = np.arange(n.sum()) + np.repeat(start.ravel() - np.cumsum(n) + n,
+                                             n)
+        query = np.repeat(np.arange(len(length)), length.sum(axis=1))
+        return query, self.order[pos]
+
+
+def _shift(pts, grid, weighted):
+    """One flat-kernel step: each point moves to the score-weighted mean of
+    the grid points within distance 1 of it, a block of queries at a time.
+    weighted holds each grid point's score times its coordinates, then its
+    score, so one bincount sums every column."""
+    start, length = grid.blocks(pts)
+    per_query = length.sum(axis=1)
+    block = (np.cumsum(per_query) - per_query) // _BLOCK
+    edges = np.concatenate(([0], np.flatnonzero(block[1:] != block[:-1]) + 1,
+                            [len(pts)]))
+    cols = weighted.shape[1]
+    new = np.empty_like(pts)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        q, j = grid.pairs(start[lo:hi], length[lo:hi])
+        near = ((pts[lo:hi][q] - grid.pts[j]) ** 2).sum(axis=1) <= 1.0
+        q, j = q[near], j[near]
+        sums = np.bincount((q[:, None] * cols + np.arange(cols)).ravel(),
+                           weights=weighted[j].ravel(),
+                           minlength=(hi - lo) * cols).reshape(-1, cols)
+        new[lo:hi] = sums[:, :-1] / sums[:, -1:]
+    return new
+
+
+def _merge_modes(pts):
+    """Member lists, one per mode in creation order: in index order, each
+    point joins the first mode within distance 0.5 of it, or starts one.
+    Modes are bucketed by cell, and only the 3x3 block of cells around a
+    point can hold one in reach."""
+    modes, members, by_cell = [], [], {}
+    around = list(itertools.product((-1.0, 0.0, 1.0), repeat=2))
+    cells = _cells(pts).tolist()
+    for i, (p, (gx, gy)) in enumerate(zip(pts.tolist(), cells)):
+        first = len(modes)
+        for dx, dy in around:
+            for m in by_cell.get((gx + dx, gy + dy), ()):
+                if m < first:
+                    a, b, c, e = (u - v for u, v in zip(p, modes[m]))
+                    if a * a + b * b + c * c + e * e <= 0.25:
+                        first = m
+        if first == len(modes):
+            modes.append(p)
+            members.append([])
+            by_cell.setdefault((gx, gy), []).append(first)
+        members[first].append(i)
+    return members
+
+
 def _mean_shift_group(dets, bandwidth_frac):
     """Flat-kernel mean shift over one label's detections.
 
     Feature space is (cx, cy, log w, log h); position bandwidth scales with
-    the group's mean box size so the blur radius tracks object scale.
+    the group's mean box size so the blur radius tracks object scale.  In
+    bandwidth units the kernel's radius is 1, so each point's neighbours
+    are looked for only in the 3x3 block of unit (cx, cy) cells around it,
+    and modes merge (radius 0.5) through the same cells: the cost grows
+    with the points in those blocks, not with the square of the group.
     """
     feats = _features(dets)
     scores = np.maximum(np.array([d.score for d in dets]), 1e-12)
@@ -123,27 +232,23 @@ def _mean_shift_group(dets, bandwidth_frac):
     h_pos = bandwidth_frac * float(sizes.mean())
     scale = np.array([h_pos, h_pos, bandwidth_frac, bandwidth_frac])
     base = feats / scale
+    grid = _Grid(base)
+    weighted = np.concatenate([base * scores[:, None], scores[:, None]],
+                              axis=1)
     pts = base.copy()
+    # a step's result for a point depends on its own position alone, so a
+    # point that a step left in place stays there: only the others step
+    moving = np.arange(len(pts))
     for _ in range(200):
-        d2 = ((pts[:, None, :] - base[None, :, :]) ** 2).sum(axis=2)
-        w = (d2 <= 1.0) * scores[None, :]
-        new = (w @ base) / w.sum(axis=1)[:, None]
-        shift = np.abs(new - pts).max()
-        pts = new
+        new = _shift(pts[moving], grid, weighted)
+        shift = np.abs(new - pts[moving]).max()
+        still = (new == pts[moving]).all(axis=1)
+        pts[moving] = new
+        moving = moving[~still]
         if shift < 1e-10:
             break
-    modes = []
-    members = []
-    for i in range(len(dets)):
-        for mi, mode in enumerate(modes):
-            if ((pts[i] - mode) ** 2).sum() <= 0.25:
-                members[mi].append(i)
-                break
-        else:
-            modes.append(pts[i])
-            members.append([i])
     out = []
-    for idx in members:
+    for idx in _merge_modes(pts):
         w = scores[idx] / scores[idx].sum()
         fm = w @ feats[idx]
         cw, ch = np.exp(fm[2]), np.exp(fm[3])
@@ -170,16 +275,39 @@ def mean_shift_refine(dets, bandwidth_frac=MEAN_SHIFT_BANDWIDTH):
 
 
 def nms(dets, iou_thresh=DETECT_NMS_IOU):
-    """Greedy per-class suppression of overlaps strictly above iou_thresh."""
+    """Greedy per-class suppression of overlaps strictly above iou_thresh.
+
+    In _rank_key order, a box is kept when no kept box of its label
+    overlaps it by more than iou_thresh.  Each label's IoU rows come a
+    block of rows at a time, in iou's float64 operation order, so the
+    result is the pairwise loop's: the given objects, in rank order.
+    """
     if not 0.0 < iou_thresh <= 1.0:
         raise ConfigError(f"iou_thresh must be in (0, 1], got {iou_thresh}")
-    kept = []
-    for d in sorted(dets, key=_rank_key):
-        if any(k.label == d.label and iou(k.box, d.box) > iou_thresh
-               for k in kept):
-            continue
-        kept.append(d)
-    return kept
+    ranked = sorted(dets, key=_rank_key)
+    boxes = np.array([d.box for d in ranked], dtype=np.float64).reshape(-1, 4)
+    labels = np.array([d.label for d in ranked])
+    keep = np.zeros(len(ranked), dtype=bool)
+    for label in np.unique(labels):
+        at = np.flatnonzero(labels == label)
+        b = boxes[at]
+        area = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+        free = np.ones(len(at), dtype=bool)     # no kept box suppresses it
+        step = max(1, _BLOCK // len(at))
+        for lo in range(0, len(at), step):
+            # rows lo..lo+step against the boxes from lo on: iou(k, d) for
+            # k in the rows; a pair that does not overlap gets iw or ih
+            # clipped to 0, so inter 0 and IoU 0, as in iou
+            k, d = b[lo:lo + step, None, :], b[lo:]
+            iw = np.minimum(k[..., 2], d[:, 2]) - np.maximum(k[..., 0], d[:, 0])
+            ih = np.minimum(k[..., 3], d[:, 3]) - np.maximum(k[..., 1], d[:, 1])
+            inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+            union = area[lo:lo + step, None] + area[lo:] - inter
+            for i, row in enumerate(inter / union > iou_thresh, start=lo):
+                if free[i]:
+                    keep[at[i]] = True
+                    free[lo:] &= ~row
+    return [det for det, kept in zip(ranked, keep) if kept]
 
 
 def detect_image(model, image, cam=None, ranges=None, *,
@@ -217,9 +345,9 @@ def detect_image(model, image, cam=None, ranges=None, *,
         loc, probs = forward_dense(model, x, counter=counter)
         labels = probs.argmax(axis=1)
         scores = probs.max(axis=1)
-        for i, win in enumerate(batch):
-            if labels[i] == 0 or scores[i] < score_thresh:
-                continue
+        # not "scores >= score_thresh": a NaN score reaches Detection's check
+        for i in np.flatnonzero((labels != 0) & ~(scores < score_thresh)):
+            win = batch[i]
             box = decode_outputs(loc[i], win)
             if box[0] >= box[2] or box[1] >= box[3]:
                 continue

@@ -49,6 +49,8 @@ class SynthSettings:
                              # background value band; 0 keeps free colors
 
     def __post_init__(self):
+        if self.ws < 1:
+            raise ConfigError(f"window size ws must be >= 1, got {self.ws}")
         if self.size_lo is None:
             self.size_lo = RS_LO * self.ws
         if self.size_hi is None:
@@ -239,6 +241,16 @@ def _band_level(levels, side, ws):
     return best
 
 
+def check_extract_settings(n_jitter=1, jitter_frac=0.0, bg_ratio=0.0,
+                           flip=False):
+    """ConfigError unless n_jitter >= 1 and jitter_frac, bg_ratio >= 0: the
+    rule for extract_samples' settings.  A setting left out passes (flip
+    always does), so the keywords a config sets can be checked alone."""
+    if n_jitter < 1 or bg_ratio < 0 or jitter_frac < 0:
+        raise ConfigError("n_jitter must be >= 1, and bg_ratio and "
+                          "jitter_frac >= 0")
+
+
 def extract_samples(manifest: DatasetManifest, src_dir, *, ws=DEFAULT_WS,
                     ratio=DEFAULT_RATIO, n_jitter=2, jitter_frac=0.15,
                     bg_ratio=3.0, flip=False, seed=0):
@@ -249,9 +261,7 @@ def extract_samples(manifest: DatasetManifest, src_dir, *, ws=DEFAULT_WS,
     bg_ratio per positive.  Returns (patches, loc, labels) with patches as
     uint8 (N, ws, ws, 3) so large sets stay small in memory.
     """
-    if n_jitter < 1 or bg_ratio < 0 or jitter_frac < 0:
-        raise ConfigError("n_jitter must be >= 1, and bg_ratio and "
-                          "jitter_frac >= 0")
+    check_extract_settings(n_jitter, jitter_frac, bg_ratio)
     rng = np.random.default_rng(seed)
     patches, locs, labels = [], [], []
 

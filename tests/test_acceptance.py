@@ -73,12 +73,25 @@ def small_model(nr=None, seed=0):
     return cm.compress(params, space)
 
 
+def layer_positions(spec):
+    """Output positions (h*w) of every conv layer, from the input size."""
+    out = {}
+
+    def conv(layer, x):
+        out[layer.name] = x.shape[2] * x.shape[3]
+        return np.zeros((layer.out_channels, 1) + x.shape[2:]), None
+
+    size = (1, spec.in_channels, spec.input_size, spec.input_size)
+    nn.run_network(spec, np.zeros(size), conv)
+    return out
+
+
 def test_accept_1_one_multiply_per_step(emit):
     t0 = time.perf_counter()
     model = small_model()
     rng = np.random.default_rng(0)
     x = rng.uniform(-0.5, 0.5, size=(2, 3, 16, 16))
-    positions = cm.layer_positions(model.spec)
+    positions = layer_positions(model.spec)
 
     fast = cm.OpCounter()
     cm.forward_fast(model, x, counter=fast)

@@ -506,6 +506,32 @@ def test_negative_jitter_is_refused_before_any_sample(workspace, tmp_path,
     assert reads == []
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_jitter", "0"), ("bg_ratio", "-1"), ("jitter_frac", "-1")])
+def test_eval_refuses_sample_settings_before_any_detection(
+        workspace, tmp_path, capsys, monkeypatch, key, value):
+    def detect(*a, **kw):
+        raise AssertionError("detect_image ran")
+
+    monkeypatch.setattr(pl, "detect_image", detect)
+    cfg = tmp_path / "extract.cfg"
+    cfg.write_text(SMALL_CONFIG + f"{key} = {value}\n")
+    assert cli.main(["eval", "-c", str(cfg), "-m", str(workspace["model"]),
+                     "--data", str(workspace["data"])]) == 2
+    assert "config error: n_jitter must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ws", ["0", "-16"])
+def test_gen_data_names_a_window_size_below_one(tmp_path, capsys, ws):
+    cfg = tmp_path / "ws.cfg"
+    cfg.write_text(SMALL_CONFIG.replace("ws = 16", f"ws = {ws}"))
+    assert cli.main(["gen-data", "-c", str(cfg), "-o",
+                     str(tmp_path / "data")]) == 2
+    assert (f"config error: window size ws must be >= 1, got {ws}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "data").exists()
+
+
 @pytest.mark.parametrize("key, value, what", [
     ("score_thresh", "2", "score_thresh must be in [0, 1], got 2.0"),
     ("score_thresh", "-1", "score_thresh must be in [0, 1], got -1.0"),

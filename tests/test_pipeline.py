@@ -1,6 +1,8 @@
 """Box codec, refinement, and evaluation behavior."""
 
 import dataclasses
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +161,175 @@ def test_mean_shift_fixed_point():
         assert a.score == b.score
 
 
+def scan_modes(pts):
+    """pl._merge_modes as a scan over every mode for each point."""
+    modes, members = [], []
+    for i in range(len(pts)):
+        for mi, mode in enumerate(modes):
+            if ((pts[i] - mode) ** 2).sum() <= 0.25:
+                members[mi].append(i)
+                break
+        else:
+            modes.append(pts[i])
+            members.append([i])
+    return members
+
+
+def dense_mean_shift_group(dets, bandwidth_frac):
+    """pl._mean_shift_group as a dense (N, N) iteration and a scan over
+    every mode: the reference the cell-bucketed form is held to."""
+    feats = pl._features(dets)
+    scores = np.maximum(np.array([d.score for d in dets]), 1e-12)
+    sizes = np.exp(feats[:, 2:4]).mean(axis=1)
+    h_pos = bandwidth_frac * float(sizes.mean())
+    scale = np.array([h_pos, h_pos, bandwidth_frac, bandwidth_frac])
+    base = feats / scale
+    pts = base.copy()
+    for _ in range(200):
+        d2 = ((pts[:, None, :] - base[None, :, :]) ** 2).sum(axis=2)
+        w = (d2 <= 1.0) * scores[None, :]
+        new = (w @ base) / w.sum(axis=1)[:, None]
+        shift = np.abs(new - pts).max()
+        pts = new
+        if shift < 1e-10:
+            break
+    out = []
+    for idx in scan_modes(pts):
+        w = scores[idx] / scores[idx].sum()
+        fm = w @ feats[idx]
+        cw, ch = np.exp(fm[2]), np.exp(fm[3])
+        box = (fm[0] - cw / 2.0, fm[1] - ch / 2.0,
+               fm[0] + cw / 2.0, fm[1] + ch / 2.0)
+        top = idx[int(np.argmax([dets[i].score for i in idx]))]
+        out.append(pl.Detection(box=box, label=dets[top].label,
+                                score=dets[top].score,
+                                source_window=dets[top].source_window))
+    return out
+
+
+def reference_mean_shift_refine(dets, bandwidth_frac):
+    out = []
+    for label in sorted({d.label for d in dets}):
+        out.extend(dense_mean_shift_group(
+            [d for d in dets if d.label == label], bandwidth_frac))
+    return out
+
+
+def pairwise_nms(dets, iou_thresh):
+    """pl.nms as a loop over every kept box: the reference for IoU rows."""
+    kept = []
+    for d in sorted(dets, key=pl._rank_key):
+        if any(k.label == d.label and pl.iou(k.box, d.box) > iou_thresh
+               for k in kept):
+            continue
+        kept.append(d)
+    return kept
+
+
+def clustered_detections(rng, n, per_object):
+    """n raw detections scattered around n / per_object objects, as
+    detection yields them: jittered boxes of each object's size, mostly its
+    label, scores on a few levels (so they tie) and exact duplicates."""
+    k = max(1, round(n / per_object))
+    centers = rng.uniform(0, 400, size=(k, 2))
+    sides = np.exp(rng.uniform(np.log(12), np.log(120), size=k))
+    labels = rng.integers(1, 3, size=k)
+    dets = []
+    while len(dets) < n:
+        if dets and rng.random() < 0.08:
+            d = dets[int(rng.integers(len(dets)))]
+            dets.append(dataclasses.replace(d))        # an equal, new object
+            continue
+        o = int(rng.integers(k))
+        w, h = sides[o] * np.exp(rng.normal(0.0, 0.1, size=2))
+        cx, cy = centers[o] + rng.normal(0.0, 0.15 * sides[o], size=2)
+        label = int(labels[o]) if rng.random() > 0.1 else 3 - int(labels[o])
+        dets.append(pl.Detection(
+            box=(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2), label=label,
+            score=float(rng.choice([0.5, 0.6, 0.75, 0.9])),
+            source_window=win(cx=float(cx), cy=float(cy), d=float(sides[o]))))
+    return dets
+
+
+def same_detections(got, want):
+    return (len(got) == len(want)
+            and all((g.label, g.score, g.source_window)
+                    == (w.label, w.score, w.source_window)
+                    for g, w in zip(got, want))
+            and (np.array([g.box for g in got]).tobytes()
+                 == np.array([w.box for w in want]).tobytes()))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_mean_shift_matches_dense_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 250)) if seed else 1000
+    dets = clustered_detections(rng, n, per_object=rng.uniform(1.5, 12))
+    for bandwidth in (pl.MEAN_SHIFT_BANDWIDTH, rng.uniform(0.05, 1.0)):
+        got = pl.mean_shift_refine(dets, bandwidth)
+        want = reference_mean_shift_refine(dets, bandwidth)
+        assert same_detections(got, want), (seed, bandwidth)
+
+
+def test_mean_shift_joins_the_first_mode_in_reach():
+    # in bandwidth units (size 10, so 3 px): a, c and b at 0, 1.8 and 0.85
+    # shift to 0.425, 1.325 and 0.883; b is within 0.5 of both modes and
+    # joins a's, the first, though c's is nearer
+    box = lambda x: (3 * x - 5, 0.0, 3 * x + 5, 10.0)
+    a, c, b = (det(box(x), score=0.8) for x in (0.0, 1.8, 0.85))
+    want = reference_mean_shift_refine([a, c, b], 0.3)
+    assert len(want) == 2
+    assert same_detections(pl.mean_shift_refine([a, c, b], 0.3), want)
+
+
+def test_mode_merge_matches_a_scan_over_every_mode():
+    # points packed so that many lie within 0.5 of modes in each of the 8
+    # neighbouring cells
+    rng = np.random.default_rng(37)
+    for trial in range(60):
+        n = int(rng.integers(1, 200))
+        pts = rng.uniform(-2.0, 2.0, size=(n, 4)) * [1.0, 1.0, 0.2, 0.2]
+        assert pl._merge_modes(pts) == scan_modes(pts), trial
+
+
+def test_nms_matches_pairwise_reference():
+    rng = np.random.default_rng(29)
+    for trial in range(120):
+        dets = clustered_detections(rng, int(rng.integers(0, 60)),
+                                    per_object=rng.uniform(1.0, 6.0))
+        if trial % 3 == 0:
+            dets = pl.mean_shift_refine(dets)
+        # thresholds at IoUs that occur in the set, so some pairs sit
+        # exactly on them
+        thresholds = [0.5, 1.0, float(rng.uniform(0.05, 0.95))]
+        for _ in range(4):
+            if len(dets) > 1:
+                i, j = rng.choice(len(dets), size=2, replace=False)
+                v = pl.iou(dets[i].box, dets[j].box)
+                if v > 0.0:
+                    thresholds.append(v)
+        for t in thresholds:
+            got = pl.nms(dets, t)
+            assert [id(d) for d in got] == [id(d) for d in pairwise_nms(
+                dets, t)], (trial, t)
+
+
+def test_refinement_scales_to_thousands_of_detections():
+    dets = clustered_detections(np.random.default_rng(41), 3000,
+                                per_object=12)
+    t0 = time.perf_counter()
+    out = pl.nms(pl.mean_shift_refine(dets))
+    elapsed = time.perf_counter() - t0
+    tracemalloc.start()
+    pl.nms(pl.mean_shift_refine(dets))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert 0 < len(out) < len(dets)
+    # the dense form takes seconds and an (N, N, 4) array of 288 MB here
+    assert elapsed < 2.0
+    assert peak < 3000 * 3000 * 8 / 4
+
+
 def test_evaluate_perfect():
     gt = [pl.GroundTruthBox((0, 0, 48, 48), 1)]
     dets = [det((0, 0, 48, 48), label=1, score=0.9)]
@@ -292,6 +463,19 @@ def test_detect_image_independent_of_batch_size():
             assert g.label == w.label
             assert abs(g.score - w.score) <= 1e-9
             assert max(abs(a - b) for a, b in zip(g.box, w.box)) <= 1e-9
+
+
+def test_detect_image_refuses_a_nan_score(monkeypatch):
+    # a window whose class scores hold a NaN is not dropped as below the
+    # threshold: it reaches Detection's check
+    def forward(model, x, counter=None):
+        loc = np.tile([0.25, 0.75, 0.25, 0.75], (len(x), 1))
+        return loc, np.tile([0.1, np.nan, 0.2], (len(x), 1))
+
+    monkeypatch.setattr(pl, "forward_dense", forward)
+    image = np.zeros((40, 40, 3), dtype=np.uint8)
+    with pytest.raises(DataError, match="score nan"):
+        pl.detect_image(tiny_model(), image)
 
 
 def rebuilt_detections(model, image, forward, score_thresh):
