@@ -11,8 +11,12 @@ applies the multiplies.  That GEMM's inner dimension is Q, the layer's
 number of pairs, which is at or above the dense GEMM's 9*C on most layers,
 so in numpy forward_fast is about 1.7x slower than forward_dense on the
 same decoded kernels: one multiply per step is an arithmetic count, not a
-speed.  Detection therefore runs forward_dense.  1x1 layers and all biases
-are stored as raw little-endian float32.
+speed.  Detection therefore runs the dense route, with its first trunk
+conv run once over each band of the image pyramid rather than once per
+window (nn_core.conv_windows): forward_dense_from runs the rest of
+forward_dense on that conv's output, and forward_dense on the cropped
+windows stays the per-window reference it equals bit for bit.  1x1
+layers and all biases are stored as raw little-endian float32.
 
 File layout (all integers little-endian):
 
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError
+from .errors import ConfigError, DataError, DimensionError, FormatError
 from . import haar_space as hs
 from . import nn_core as nn
 
@@ -362,14 +366,19 @@ def _conv_fast(x, lp, space, layer):
     return out.reshape(o, n, ho, wo)
 
 
-def _run(model, x, counter, fast):
+def _run(model, x, counter, fast, first=None):
     """run_network with _conv_fast on constrained layers when fast is set
     and the dense conv otherwise; tallies each conv into the counter from
-    its output shape."""
+    its output shape.  first, when given, is the output of the trunk's
+    first layer, a conv, already computed for the batch: it stands in for
+    that conv, and x only sizes the batch."""
     def conv(layer, x):
         lp = model.params.layers[layer.name]
         k2 = layer.kernel_size ** 2
-        if fast and layer.constrained:
+        if first is not None and layer is model.spec.shared_trunk[0]:
+            out, aux = first, None
+            per_step = k2
+        elif fast and layer.constrained:
             out, aux = _conv_fast(x, lp, model.space, layer), None
             per_step = 1
         else:
@@ -401,6 +410,30 @@ def forward_dense(model: CompressedModel, x, counter=None):
     """Dense-route oracle on the same reconstructed weights, with dense
     operation accounting."""
     return _run(model, x, counter, fast=False)
+
+
+def first_conv(spec: nn.NetworkSpec):
+    """The trunk's first layer, which detection runs over whole bands of
+    the pyramid; DataError for a trunk that opens with a pool, which
+    build_network_spec never makes."""
+    layer = spec.shared_trunk[0]
+    if layer.kind != "conv":
+        raise DataError(f"trunk opens with {layer.kind} {layer.name}; "
+                        "detection needs a conv first")
+    return layer
+
+
+def forward_dense_from(model: CompressedModel, first, counter=None):
+    """forward_dense of a batch whose first trunk conv output, (O, N, H, W)
+    channel-major, is given: the rest of the network runs on it, and the
+    counter tallies that conv as forward_dense would."""
+    spec = model.spec
+    first_conv(spec)
+    n = first.shape[1]
+    shape = (n, spec.in_channels, spec.input_size, spec.input_size)
+    # the input no layer reads; it gives run_network the batch's shape
+    return _run(model, np.broadcast_to(0.0, shape), counter, fast=False,
+                first=first)
 
 
 def storage_report(spec: nn.NetworkSpec, nr: int = 32):

@@ -21,6 +21,7 @@ gradient to the first of those cells that holds it.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError
 from .haar_space import SIDE
@@ -263,6 +264,91 @@ def _conv_backward(dout, cols, lp: LayerParams, want_dx):
         return None, dw, db
     flipped = lp.kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     return _conv_forward(dout, flipped, None)[0], dw, db
+
+
+# A GEMM may compute the columns of its last, partial tile in another
+# order than its full tiles (OpenBLAS 0.3.31 on a SkylakeX core does, for
+# the last 1-4 of every 8).  conv_windows pads the maps it convolves so that each GEMM
+# spans whole tiles of this many columns, as a batch of whole windows of
+# a side that is a multiple of 4 already does: both see the same
+# arithmetic.
+_TILE = 16
+
+
+def conv_windows(x, kernels, bias, corners, size):
+    """read(lo, hi): the conv of the size x size windows lo..hi-1 of the
+    channel-major (C, H, W) map x whose top-left pixels are the (N, 2)
+    integer corners (x, y), each window zero-padded on its own, as the
+    (O, hi - lo, size, size) array _conv_forward gives on those windows cut
+    out and stacked; bit for bit when size is a multiple of 4, so that
+    stacked windows span whole _TILE-column tiles too.
+
+    The conv runs once over x, and a window reads from that the values
+    whose taps stay inside it.  Its 1-px ring (k == 3) has taps past the
+    window, which must read zeros, so each ring value comes from a conv
+    over a zero-padded slab instead.  A top-ring value but the corners is
+    the same for every window whose top row is that row of x: the conv of
+    that row and the next, padded above.  So each edge is one conv over
+    2-px slabs, one per distinct row or column of the corners, and each
+    corner a cell of the conv of the window's (up to) 2x2 pixels there.
+    Each value is so the GEMM column _conv_forward computes for it.
+    """
+    c, h, w = x.shape
+    k = kernels.shape[2]
+    # whole tiles for the map and for 2-px slabs of its rows or columns
+    half = _TILE // 2
+    high, wide = -(-h // half) * half, -(-w // _TILE) * _TILE
+    padded = np.zeros((c, high, wide))
+    padded[:, :h, :w] = x
+    del x       # a map passed as a temporary is freed before the im2col
+
+    def conv(slabs):
+        return _conv_forward(slabs, kernels, bias)[0]
+
+    blocks = sliding_window_view(conv(padded[:, None])[:, 0], (size, size),
+                                 axis=(1, 2))
+    xs, ys = corners[:, 0], corners[:, 1]
+    if k == 1:
+        return lambda lo, hi: blocks[:, ys[lo:hi], xs[lo:hi]]
+    # corners top-left, top-right, bottom-left, bottom-right: the conv of
+    # each window's q x q pixels there holds the corner at flat cell 0..3
+    q = min(size, 2)
+    ci = np.array([0, 0, size - 1, size - 1])
+    cj = np.array([0, size - 1, 0, size - 1])
+    qy = (ys[:, None] + ci - (q - 1) * (ci > 0))[..., None, None]
+    qx = (xs[:, None] + cj - (q - 1) * (cj > 0))[..., None, None]
+    span = np.arange(q)
+    quads = padded[:, qy + span[:, None], qx + span].reshape(c, -1, q, q)
+    corner = conv(quads).reshape(-1, len(xs), 4, q * q)
+    corner = corner[:, :, np.arange(4), np.arange(4) % (q * q)]
+    if size > 2:
+        def runs(lines):
+            # (O, lines, L) conv outputs -> every run of size - 2 along L
+            return sliding_window_view(lines, size - 2, axis=2)
+
+        rows, row_of = np.unique(ys, return_inverse=True)
+        cols, col_of = np.unique(xs, return_inverse=True)
+        near, far = np.arange(2), np.arange(size - 2, size)
+        top = runs(conv(padded[:, rows[:, None] + near])[:, :, 0])
+        bottom = runs(conv(padded[:, rows[:, None] + far])[:, :, 1])
+        left = runs(conv(padded[:, :, cols[:, None] + near]
+                         .transpose(0, 2, 1, 3))[..., 0])
+        right = runs(conv(padded[:, :, cols[:, None] + far]
+                          .transpose(0, 2, 1, 3))[..., 1])
+
+    def read(lo, hi):
+        wx, wy = xs[lo:hi], ys[lo:hi]
+        got = blocks[:, wy, wx]
+        if size > 2:
+            row, col = row_of[lo:hi], col_of[lo:hi]
+            got[:, :, 0, 1:-1] = top[:, row, wx + 1]
+            got[:, :, -1, 1:-1] = bottom[:, row, wx + 1]
+            got[:, :, 1:-1, 0] = left[:, col, wy + 1]
+            got[:, :, 1:-1, -1] = right[:, col, wy + 1]
+        got[:, :, ci, cj] = corner[:, lo:hi]
+        return got
+
+    return read
 
 
 def _maxpool_values(x):

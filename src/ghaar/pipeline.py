@@ -13,15 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compressed import forward_dense
+from .compressed import first_conv, forward_dense_from
 from .compressed import forward_fast  # perfbench's traced runs wrap this name
 from .errors import ConfigError, DataError
+from .nn_core import conv_windows
 from .ppm import normalize_image
 from .windows import (
     DEFAULT_RATIO,
     DEFAULT_STRIDE_FRAC,
     Window,
-    crop_window,
+    block_corner,
+    crop_window,  # perfbench's traced runs wrap this name
     final_windows,
 )
 
@@ -29,11 +31,15 @@ DETECT_SCORE_THRESH = 0.5
 DETECT_NMS_IOU = 0.7
 MEAN_SHIFT_BANDWIDTH = 0.3
 EVAL_IOU = 0.7
-# windows per forward_dense call.  Per frame on the seed-101 perfbench frames
-# (2 cores), 32 and 64 tie on 160x120 frames (42-46 ms; 128 and 256 are
-# slower) and 32 is 3-11% faster on 1024x768 ones (228-300 against 257-310
-# ms); conv1's im2col columns take 14 MB at 64 windows
+# windows per forward_dense_from call, the layers after the first conv.
+# Per frame, against 64, on the seed-101-103 perfbench 1024x768 frames:
+# 32 takes 5% longer, 128 6% and 256 23%; on the seed-101-102 160x120 ones
+# 32 ties (faster on 35 of 64 frames), 128 takes 4% and 256 13% longer
+# (2 cores, medians of frames run at the four sizes in turn).
 DETECT_BATCH_SIZE = 64
+# pixels of a level's band the first conv runs over at once: for an RGB
+# 3x3 conv its im2col columns take 216 bytes a pixel, 7 MB here
+CONV_BLOCK_PIXELS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -310,6 +316,62 @@ def nms(dets, iou_thresh=DETECT_NMS_IOU):
     return [det for det, kept in zip(ranked, keep) if kept]
 
 
+def _conv_blocks(wins, corners, levels, ws):
+    """Runs of consecutive windows whose blocks the first conv takes in one
+    pass, as arrays over the runs: each run's first window, its level, and
+    the top-left (x0, y0) and bottom-right (x1, y1, exclusive) corners of
+    the rectangle of the level's band its blocks cover.  A level's windows
+    are cut into runs by their corner's row, and column, in steps that
+    keep a rectangle within CONV_BLOCK_PIXELS pixels (or one window's
+    block): whole rows of windows while the band is narrow enough."""
+    level = np.array([w.level for w in wins], dtype=np.int64)
+    width = np.array([lv.image.shape[1] for lv in levels])[level]
+    rows = np.maximum(ws, CONV_BLOCK_PIXELS // width)
+    cols = np.maximum(ws, CONV_BLOCK_PIXELS // rows)
+    key = np.stack([level, corners[:, 1] // (rows - ws + 1),
+                    corners[:, 0] // (cols - ws + 1)], axis=1)
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (key[1:] != key[:-1]).any(axis=1))))
+    return (starts, level[starts], np.minimum.reduceat(corners, starts),
+            np.maximum.reduceat(corners, starts) + ws)
+
+
+def _first_conv_batches(model, wins, levels, batch_size):
+    """(start, output) per batch of batch_size windows, in order: output is
+    the trunk's first conv over the batch's windows, (O, n, ws, ws) as
+    forward_dense computes it on their cropped and normalized pixels, bit
+    for bit.  The conv runs once over each _conv_blocks rectangle, and a
+    window reads its block of that (nn_core.conv_windows)."""
+    if not wins:
+        return
+    ws = model.spec.input_size
+    lp = model.params.layers[first_conv(model.spec).name]
+    corners = np.array([block_corner(w, levels, ws) for w in wins])
+    starts, run_level, top_left, bottom_right = _conv_blocks(
+        wins, corners, levels, ws)
+    stops = np.append(starts[1:], len(wins))
+    k, stop = -1, 0
+    for lo in range(0, len(wins), batch_size):
+        hi = min(lo + batch_size, len(wins))
+        parts, at = [], lo
+        while at < hi:
+            if at == stop:
+                k += 1
+                start, stop = starts[k], stops[k]
+                (x0, y0), (x1, y1) = top_left[k], bottom_right[k]
+                band = levels[run_level[k]].image[y0:y1, x0:x1]
+                read = None         # the last rectangle's conv, freed first
+                read = conv_windows(normalize_image(band), lp.kernels,
+                                    lp.bias, corners[start:stop] - (x0, y0),
+                                    ws)
+            end = min(hi, stop)
+            parts.append(read(at - start, end - start))
+            at = end
+        first = parts[0] if len(parts) == 1 else np.concatenate(parts, 1)
+        del parts           # not held while the batch runs
+        yield lo, first
+
+
 def detect_image(model, image, cam=None, ranges=None, *,
                  stride_frac=DEFAULT_STRIDE_FRAC, ratio=DEFAULT_RATIO,
                  score_thresh=DETECT_SCORE_THRESH,
@@ -318,13 +380,16 @@ def detect_image(model, image, cam=None, ranges=None, *,
                  counter=None):
     """Full single-image pass: windows -> dense-route inference -> refine.
 
-    Batches run on compressed.forward_dense, faster in numpy than
-    forward_fast, so counter gets k*k multiplies per step.  Background
-    label 0, scores below score_thresh and degenerate boxes are dropped
-    before refinement; final_windows gives the windows a pass runs.
-    Before any window is built: ConfigError on a setting outside its range,
-    and DataError when the model does not take the 3-channel windows an RGB
-    image yields.
+    The dense route is faster in numpy than forward_fast, so counter gets
+    k*k multiplies per step.  Its first trunk conv runs once per band
+    rectangle (_first_conv_batches), and batches of batch_size windows run
+    the rest of it (forward_dense_from): each batch's outputs are bit for
+    bit those of forward_dense on the cropped windows.  Background label 0,
+    scores below score_thresh and degenerate boxes are dropped before
+    refinement; final_windows gives the windows a pass runs.  Before any
+    window is built: ConfigError on a setting outside its range, and
+    DataError when the model does not take the 3-channel windows an RGB
+    image yields or its trunk opens with a pool.
     """
     if not 0.0 <= score_thresh <= 1.0:
         raise ConfigError(f"score_thresh must be in [0, 1], got {score_thresh}")
@@ -334,15 +399,14 @@ def detect_image(model, image, cam=None, ranges=None, *,
     if model.spec.in_channels != 3:
         raise DataError(f"model takes {model.spec.in_channels}-channel "
                         "input; detection feeds it RGB windows")
-    ws = model.spec.input_size
-    wins, levels = final_windows(image, cam=cam, ranges=ranges, ws=ws,
+    first_conv(model.spec)
+    wins, levels = final_windows(image, cam=cam, ranges=ranges,
+                                 ws=model.spec.input_size,
                                  stride_frac=stride_frac, ratio=ratio)
     raw = []
-    for lo in range(0, len(wins), batch_size):
-        batch = wins[lo:lo + batch_size]
-        x = normalize_image(np.stack([crop_window(w, levels, ws)
-                                      for w in batch]))
-        loc, probs = forward_dense(model, x, counter=counter)
+    for lo, first in _first_conv_batches(model, wins, levels, batch_size):
+        batch = wins[lo:lo + first.shape[1]]
+        loc, probs = forward_dense_from(model, first, counter=counter)
         labels = probs.argmax(axis=1)
         scores = probs.max(axis=1)
         # not "scores >= score_thresh": a NaN score reaches Detection's check

@@ -199,8 +199,9 @@ def final_windows(image, cam=None, ranges=None, ws=DEFAULT_WS,
     scan order.  Without a camera or ranges the sliding set passes through
     untouched.  The windows equal perspective_filter over sliding_windows
     of build_pyramid, but each level only resamples the band its kept
-    windows cover (an empty band when it keeps none), so crop_window is
-    the way to read their pixels.
+    windows cover (an empty band when it keeps none), so a window's block
+    is found through its level's origin: block_corner gives it, and
+    crop_window reads its pixels.
     """
     img = np.asarray(image)
     sizes = _level_sizes(img.shape, ws, ratio)
@@ -238,10 +239,10 @@ def corner_window(level: PyramidLevel, level_id: int, x, y, ws=DEFAULT_WS):
                   level=level_id)
 
 
-def crop_window(win: Window, levels, ws=DEFAULT_WS):
-    """The window's ws x ws pixel block from its own pyramid level, or
-    from the band of it the level holds; DataError if the block leaves
-    that band."""
+def block_corner(win: Window, levels, ws=DEFAULT_WS):
+    """(x, y) of the top-left pixel of the window's ws x ws block in the
+    band its pyramid level holds; DataError if the block leaves that
+    band."""
     level = levels[win.level]
     ox, oy = level.origin
     x = int(round(win.x2d / level.scale - ws / 2)) - ox
@@ -249,7 +250,15 @@ def crop_window(win: Window, levels, ws=DEFAULT_WS):
     h, w = level.image.shape[:2]
     if not (0 <= x <= w - ws and 0 <= y <= h - ws):
         raise DataError(f"window at ({win.x2d}, {win.y2d}) leaves its level")
-    return level.image[y:y + ws, x:x + ws]
+    return x, y
+
+
+def crop_window(win: Window, levels, ws=DEFAULT_WS):
+    """The window's ws x ws pixel block from its own pyramid level, or
+    from the band of it the level holds; DataError if the block leaves
+    that band."""
+    x, y = block_corner(win, levels, ws)
+    return levels[win.level].image[y:y + ws, x:x + ws]
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,30 @@ def test_conv_batched_equals_per_sample():
         assert rel_err(batched[i], single) < 1e-14
 
 
+@settings(max_examples=120, deadline=None)
+@given(c=st.integers(1, 3), o=st.integers(1, 5), k=st.sampled_from([1, 3]),
+       size=st.sampled_from([4, 8, 12, 16]), extra=st.tuples(
+           st.integers(0, 40), st.integers(0, 40)),
+       n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_conv_windows_equals_the_conv_of_each_window(c, o, k, size, extra,
+                                                     n, seed):
+    # any corners (repeated, touching every edge of the map) and any slice
+    # of them: bit for bit the conv of the windows cut out and stacked
+    rng = np.random.default_rng(seed)
+    h, w = size + extra[0], size + extra[1]
+    x = rng.normal(size=(c, h, w))
+    kernels, bias = rng.normal(size=(o, c, k, k)), rng.normal(size=o)
+    corners = np.stack([rng.integers(0, w - size + 1, n),
+                        rng.integers(0, h - size + 1, n)], axis=1)
+    corners[0] = (w - size, h - size)
+    lo = int(rng.integers(0, n))
+    hi = int(rng.integers(lo + 1, n + 1))
+    got = nn.conv_windows(x, kernels, bias, corners, size)(lo, hi)
+    cut = np.stack([x[:, y:y + size, x0:x0 + size]
+                    for x0, y in corners[lo:hi]], axis=1)
+    assert same_bits(got, nn._conv_forward(cut, kernels, bias)[0])
+
+
 def im2col_reference(x, k, pad):
     """np.pad, then one copy of the sliding-window view: the columns
     (C*k*k, N*Ho*Wo) of a (C, N, H, W) input."""

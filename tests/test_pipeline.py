@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghaar.errors import ConfigError, DataError
 from ghaar import compressed as cm
@@ -14,7 +15,8 @@ from ghaar import nn_core as nn
 from ghaar import pipeline as pl
 from ghaar import training as tr
 from ghaar.ppm import normalize_image
-from ghaar.windows import CameraModel, Window, crop_window, final_windows
+from ghaar.windows import (CameraModel, SceneRanges, Window, block_corner,
+                           crop_window, final_windows)
 
 
 def win(cx=24.0, cy=24.0, d=48.0, level=0):
@@ -417,10 +419,14 @@ def test_evaluate_distance_bands():
                         band_edges=bad)
 
 
-def tiny_model(seed=0):
+def tiny_model(seed=0, first_kernel=3):
     spec = nn.build_network_spec(
         in_channels=3, classes=3, window=16,
         trunk_widths=(3, 4, 4, 4), head_widths=(4, 4), bottleneck=3)
+    if first_kernel == 1:
+        spec = dataclasses.replace(spec, shared_trunk=(
+            nn.LayerSpec("conv1", "conv", 1, 3, 3, relu=True),)
+            + spec.shared_trunk[1:])
     params = nn.init_params(spec, seed=seed)
     space = hs.enumerate_space(3)
     tr.constrain_params(params, space)
@@ -468,26 +474,32 @@ def test_detect_image_independent_of_batch_size():
 def test_detect_image_refuses_a_nan_score(monkeypatch):
     # a window whose class scores hold a NaN is not dropped as below the
     # threshold: it reaches Detection's check
-    def forward(model, x, counter=None):
-        loc = np.tile([0.25, 0.75, 0.25, 0.75], (len(x), 1))
-        return loc, np.tile([0.1, np.nan, 0.2], (len(x), 1))
+    def forward(model, first, counter=None):
+        n = first.shape[1]
+        loc = np.tile([0.25, 0.75, 0.25, 0.75], (n, 1))
+        return loc, np.tile([0.1, np.nan, 0.2], (n, 1))
 
-    monkeypatch.setattr(pl, "forward_dense", forward)
+    monkeypatch.setattr(pl, "forward_dense_from", forward)
     image = np.zeros((40, 40, 3), dtype=np.uint8)
     with pytest.raises(DataError, match="score nan"):
         pl.detect_image(tiny_model(), image)
 
 
-def rebuilt_detections(model, image, forward, score_thresh):
-    """detect_image's steps from public parts, with the given forward."""
+def rebuilt_detections(model, image, forward, score_thresh, cam=None,
+                       ranges=None, batch_size=pl.DETECT_BATCH_SIZE,
+                       outputs=None):
+    """detect_image's steps from public parts, with the given forward;
+    each batch's (loc, probs) is appended to outputs when given."""
     ws = model.spec.input_size
-    wins, levels = final_windows(image, ws=ws)
+    wins, levels = final_windows(image, cam=cam, ranges=ranges, ws=ws)
     raw = []
-    for lo in range(0, len(wins), pl.DETECT_BATCH_SIZE):
-        batch = wins[lo:lo + pl.DETECT_BATCH_SIZE]
+    for lo in range(0, len(wins), batch_size):
+        batch = wins[lo:lo + batch_size]
         x = normalize_image(np.stack([crop_window(w, levels, ws)
                                       for w in batch]))
         loc, probs = forward(model, x)
+        if outputs is not None:
+            outputs.append((loc, probs))
         for i, w in enumerate(batch):
             label = int(probs[i].argmax())
             score = float(probs[i].max())
@@ -522,6 +534,111 @@ def test_detect_image_runs_the_dense_route():
         if layer.constrained:
             assert (counter.per_step_multiplies(layer.name)
                     == layer.kernel_size ** 2 == 9)
+
+
+BAND_CAM = CameraModel(m11=96.0, m22=96.0, m13=48.0, m23=36.0)
+BAND_RANGES = SceneRanges(-1.0, 2.0, -0.8, 1.5, 1.0)
+
+
+def band_geometry_holds(case, model, wins, levels, batch_size):
+    """True when the windows detect_image runs have the geometry the case
+    is named for."""
+    ws = model.spec.input_size
+    corners = np.array([block_corner(w, levels, ws) for w in wins])
+    if case == "flush-odd":
+        # a flush last row or column of the grid, off the 5-px step and odd
+        return bool(((corners % 5 != 0) & (corners % 2 == 1)).any())
+    if case == "pruned-origin":
+        return any(level.origin != (0, 0) for level in levels)
+    if case == "two-level-batch":
+        return any(len({w.level for w in wins[lo:lo + batch_size]}) == 2
+                   for lo in range(0, len(wins), batch_size))
+    if case == "small-blocks":
+        # more rectangles than levels, and some only part of a row of windows
+        starts, run_level, top_left, bottom_right = pl._conv_blocks(
+            wins, corners, levels, ws)
+        widths = np.array([levels[k].image.shape[1] for k in run_level])
+        return (len(starts) > len({w.level for w in wins})
+                and bool((bottom_right[:, 0] - top_left[:, 0] < widths).any()))
+    return model.spec.shared_trunk[0].kernel_size == 1
+
+
+@pytest.mark.parametrize("case, shape, camera, batch_size, block, kernel", [
+    ("flush-odd", (39, 47), False, 64, None, 3),
+    ("pruned-origin", (72, 96), True, 64, None, 3),
+    ("two-level-batch", (40, 52), False, 7, None, 3),
+    ("small-blocks", (64, 80), True, 64, 400, 3),
+    ("1x1-first", (40, 52), True, 16, None, 1),
+])
+def test_band_route_matches_the_per_window_route(case, shape, camera,
+                                                 batch_size, block, kernel,
+                                                 monkeypatch):
+    # detect_image runs the first conv once per band rectangle; every
+    # batch's outputs, and so the detections, are bit for bit those of
+    # forward_dense on the cropped windows
+    if block is not None:
+        monkeypatch.setattr(pl, "CONV_BLOCK_PIXELS", block)
+    model = tiny_model(first_kernel=kernel)
+    image = np.random.default_rng(41).integers(0, 256, size=shape + (3,),
+                                               dtype=np.uint8)
+    cam, ranges = (BAND_CAM, BAND_RANGES) if camera else (None, None)
+    wins, levels = final_windows(image, cam=cam, ranges=ranges,
+                                 ws=model.spec.input_size)
+    assert band_geometry_holds(case, model, wins, levels, batch_size)
+    assert band_route_detections(model, image, cam, ranges, batch_size,
+                                 monkeypatch)
+
+
+def band_route_detections(model, image, cam, ranges, batch_size,
+                          monkeypatch):
+    """detect_image's detections, after asserting that they and every
+    batch's outputs are bitwise those of forward_dense on the cropped
+    windows."""
+    got_outputs = []
+
+    def recording(model, first, counter=None):
+        got_outputs.append(cm.forward_dense_from(model, first, counter))
+        return got_outputs[-1]
+
+    monkeypatch.setattr(pl, "forward_dense_from", recording)
+    got = pl.detect_image(model, image, cam, ranges, score_thresh=0.0,
+                          batch_size=batch_size)
+    want_outputs = []
+    want = rebuilt_detections(model, image, cm.forward_dense, 0.0, cam=cam,
+                              ranges=ranges, batch_size=batch_size,
+                              outputs=want_outputs)
+    assert got == want
+    assert len(got_outputs) == len(want_outputs)
+    for g, w in zip(got_outputs, want_outputs):
+        for a, b in zip(g, w):
+            assert a.tobytes() == b.tobytes()
+    return got
+
+
+@settings(max_examples=25, deadline=None)
+@given(h=st.integers(16, 90), w=st.integers(16, 90), camera=st.booleans(),
+       batch_size=st.integers(1, 40), block=st.integers(200, 3000),
+       kernel=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
+def test_band_route_matches_on_random_geometry(h, w, camera, batch_size,
+                                               block, kernel, seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(pl, "CONV_BLOCK_PIXELS", block)
+        image = np.random.default_rng(seed).integers(
+            0, 256, size=(h, w, 3), dtype=np.uint8)
+        cam, ranges = (BAND_CAM, BAND_RANGES) if camera else (None, None)
+        band_route_detections(tiny_model(first_kernel=kernel), image, cam,
+                              ranges, batch_size, monkeypatch)
+
+
+def test_detect_image_refuses_a_trunk_that_opens_with_a_pool(monkeypatch):
+    model = tiny_model()
+    spec = dataclasses.replace(model.spec, shared_trunk=(
+        (nn.LayerSpec("pool0", "maxpool"),) + model.spec.shared_trunk),
+        input_size=32)
+    monkeypatch.setattr(pl, "final_windows", None)     # never reached
+    with pytest.raises(DataError, match="opens with maxpool pool0"):
+        pl.detect_image(dataclasses.replace(model, spec=spec),
+                        np.zeros((40, 40, 3), dtype=np.uint8))
 
 
 def test_detect_image_refuses_a_model_without_three_channels():

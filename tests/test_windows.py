@@ -213,6 +213,7 @@ def test_crop_window_reads_level_pixels():
     band = [wd.PyramidLevel(scale=1.0, image=img[30:90, 20:80],
                             origin=(20, 30))]
     inside = wd.corner_window(band[0], 0, 25, 40, ws=48)
+    assert wd.block_corner(inside, band, ws=48) == (5, 10)
     assert np.array_equal(wd.crop_window(inside, band, ws=48),
                           img[40:88, 25:73])
     for x, y in ((0, 40), (19, 40), (25, 29), (33, 40), (25, 43)):
