@@ -15,7 +15,8 @@ speed.  Detection therefore runs the dense route, with its first trunk
 conv run once over each band of the image pyramid rather than once per
 window (nn_core.conv_windows): forward_dense_from runs the rest of
 forward_dense on that conv's output, and forward_dense on the cropped
-windows stays the per-window reference it equals bit for bit.  1x1
+windows stays the per-window reference it equals bit for bit, at any
+batch size: every conv GEMM spans whole tiles (nn_core._im2col).  1x1
 layers and all biases are stored as raw little-endian float32.
 
 File layout (all integers little-endian):
@@ -361,7 +362,7 @@ def _conv_fast(x, lp, space, layer):
         sums[lo:hi] = space.signs[patterns[lo:hi]] @ cols[ch * kk:(ch + 1) * kk]
     scatter = np.zeros((o, pairs.size))
     scatter[np.arange(o)[:, None], pair_of.reshape(o, c)] = lp.factors
-    out = scatter @ sums
+    out = np.ascontiguousarray((scatter @ sums)[:, :n * ho * wo])
     out += lp.bias[:, None]
     return out.reshape(o, n, ho, wo)
 

@@ -9,7 +9,8 @@ Inside the layer walk (run_network) activations are channel-major,
 (C, N, H, W): the im2col matrix (C*k*k, N*H*W) is built in one copy, and
 the conv GEMM's (O, N*H*W) output is the next layer's input as it is.  The
 public functions keep the (N, C, H, W) contract and transpose (as views)
-at their edges.  A recording walk keeps every step's output, plus a
+at their edges.  Every conv GEMM spans whole _TILE-column tiles, so a
+window's outputs are the same bits whatever batch it runs in.  A recording walk keeps every step's output, plus a
 conv's im2col columns or a pool's input, and backward runs channel-major
 on those records as they are: a conv's weight gradient is one GEMM of its
 output gradient against its recorded columns, and its input gradient the
@@ -208,20 +209,28 @@ def _as_batch(x):
     return x
 
 
+# A GEMM may compute the columns of its last, partial tile in another
+# order than its full tiles (OpenBLAS 0.3.31 on a SkylakeX core does, for
+# the last 1-4 of every 8), so every conv GEMM spans whole tiles of this
+# many columns: an output column's bits do not depend on the others.
+_TILE = 16
+
+
 def _im2col(x, k, pad):
-    """(C, N, H, W) -> columns (C*k*k, N*Ho*Wo) for stride-1 windows.
+    """(C, N, H, W) -> (tiles, Ho, Wo) for stride-1 windows: the columns
+    (C*k*k, N*Ho*Wo), then zeros up to whole _TILE-column tiles.
 
     Row c*k*k + i*k + j holds input channel c shifted by kernel cell (i, j);
     the columns run over windows, then positions.  Each shifted slice is
-    copied once into the column array and only the border strips it does
-    not reach are zeroed (no padded copy of x); a contiguous 1x1 input is
-    its own columns.
+    copied once into the tiles and only the border strips it does not
+    reach, and the tail, are zeroed (no padded copy of x).
     """
     c, n, h, w = x.shape
-    if k == 1:
-        return x.reshape(c, n * h * w), h, w
     ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
-    cols = np.empty((c, k, k, n, ho, wo))
+    m = n * ho * wo
+    tiles = np.empty((c * k * k, -(-m // _TILE) * _TILE))
+    tiles[:, m:] = 0.0
+    cols = tiles[:, :m].reshape(c, k, k, n, ho, wo)
     for i in range(k):
         r0, r1 = max(0, pad - i), min(ho, h + pad - i)
         for j in range(k):
@@ -237,19 +246,22 @@ def _im2col(x, k, pad):
                 cell[..., :c0] = 0.0
             if c1 < wo:
                 cell[..., c1:] = 0.0
-    return cols.reshape(c * k * k, n * ho * wo), ho, wo
+    return tiles, ho, wo
 
 
 def _conv_forward(x, kernels, bias):
     """(C, N, H, W) conv via im2col; returns ((O, N, H, W) output, the
     (C*k*k, N*H*W) im2col columns).  Zero padding keeps a 3x3 output
-    same-sized; 1x1 kernels get none."""
+    same-sized; 1x1 kernels get none.  The GEMM spans whole tiles; the
+    output is its first N*H*W columns, contiguous whatever the tail."""
     o, c, k, _ = kernels.shape
-    cols, ho, wo = _im2col(x, k, (k - 1) // 2)
-    out = kernels.reshape(o, c * k * k) @ cols
+    n = x.shape[1]
+    tiles, ho, wo = _im2col(x, k, (k - 1) // 2)
+    m = n * ho * wo
+    out = np.ascontiguousarray((kernels.reshape(o, c * k * k) @ tiles)[:, :m])
     if bias is not None:
         out += bias[:, None]
-    return out.reshape(o, x.shape[1], ho, wo), cols
+    return out.reshape(o, n, ho, wo), tiles[:, :m]
 
 
 def _conv_backward(dout, cols, lp: LayerParams, want_dx):
@@ -266,22 +278,12 @@ def _conv_backward(dout, cols, lp: LayerParams, want_dx):
     return _conv_forward(dout, flipped, None)[0], dw, db
 
 
-# A GEMM may compute the columns of its last, partial tile in another
-# order than its full tiles (OpenBLAS 0.3.31 on a SkylakeX core does, for
-# the last 1-4 of every 8).  conv_windows pads the maps it convolves so that each GEMM
-# spans whole tiles of this many columns, as a batch of whole windows of
-# a side that is a multiple of 4 already does: both see the same
-# arithmetic.
-_TILE = 16
-
-
 def conv_windows(x, kernels, bias, corners, size):
     """read(lo, hi): the conv of the size x size windows lo..hi-1 of the
     channel-major (C, H, W) map x whose top-left pixels are the (N, 2)
     integer corners (x, y), each window zero-padded on its own, as the
     (O, hi - lo, size, size) array _conv_forward gives on those windows cut
-    out and stacked; bit for bit when size is a multiple of 4, so that
-    stacked windows span whole _TILE-column tiles too.
+    out and stacked, bit for bit.
 
     The conv runs once over x, and a window reads from that the values
     whose taps stay inside it.  Its 1-px ring (k == 3) has taps past the
@@ -293,19 +295,13 @@ def conv_windows(x, kernels, bias, corners, size):
     corner a cell of the conv of the window's (up to) 2x2 pixels there.
     Each value is so the GEMM column _conv_forward computes for it.
     """
-    c, h, w = x.shape
+    c = x.shape[0]
     k = kernels.shape[2]
-    # whole tiles for the map and for 2-px slabs of its rows or columns
-    half = _TILE // 2
-    high, wide = -(-h // half) * half, -(-w // _TILE) * _TILE
-    padded = np.zeros((c, high, wide))
-    padded[:, :h, :w] = x
-    del x       # a map passed as a temporary is freed before the im2col
 
     def conv(slabs):
         return _conv_forward(slabs, kernels, bias)[0]
 
-    blocks = sliding_window_view(conv(padded[:, None])[:, 0], (size, size),
+    blocks = sliding_window_view(conv(x[:, None])[:, 0], (size, size),
                                  axis=(1, 2))
     xs, ys = corners[:, 0], corners[:, 1]
     if k == 1:
@@ -318,7 +314,7 @@ def conv_windows(x, kernels, bias, corners, size):
     qy = (ys[:, None] + ci - (q - 1) * (ci > 0))[..., None, None]
     qx = (xs[:, None] + cj - (q - 1) * (cj > 0))[..., None, None]
     span = np.arange(q)
-    quads = padded[:, qy + span[:, None], qx + span].reshape(c, -1, q, q)
+    quads = x[:, qy + span[:, None], qx + span].reshape(c, -1, q, q)
     corner = conv(quads).reshape(-1, len(xs), 4, q * q)
     corner = corner[:, :, np.arange(4), np.arange(4) % (q * q)]
     if size > 2:
@@ -329,11 +325,11 @@ def conv_windows(x, kernels, bias, corners, size):
         rows, row_of = np.unique(ys, return_inverse=True)
         cols, col_of = np.unique(xs, return_inverse=True)
         near, far = np.arange(2), np.arange(size - 2, size)
-        top = runs(conv(padded[:, rows[:, None] + near])[:, :, 0])
-        bottom = runs(conv(padded[:, rows[:, None] + far])[:, :, 1])
-        left = runs(conv(padded[:, :, cols[:, None] + near]
+        top = runs(conv(x[:, rows[:, None] + near])[:, :, 0])
+        bottom = runs(conv(x[:, rows[:, None] + far])[:, :, 1])
+        left = runs(conv(x[:, :, cols[:, None] + near]
                          .transpose(0, 2, 1, 3))[..., 0])
-        right = runs(conv(padded[:, :, cols[:, None] + far]
+        right = runs(conv(x[:, :, cols[:, None] + far]
                           .transpose(0, 2, 1, 3))[..., 1])
 
     def read(lo, hi):

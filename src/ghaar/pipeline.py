@@ -337,11 +337,11 @@ def _conv_blocks(wins, corners, levels, ws):
 
 
 def _first_conv_batches(model, wins, levels, batch_size):
-    """(start, output) per batch of batch_size windows, in order: output is
-    the trunk's first conv over the batch's windows, (O, n, ws, ws) as
-    forward_dense computes it on their cropped and normalized pixels, bit
-    for bit.  The conv runs once over each _conv_blocks rectangle, and a
-    window reads its block of that (nn_core.conv_windows)."""
+    """(start, output) per batch of at most batch_size windows, in order:
+    output is the trunk's first conv over the batch's windows, (O, n, ws,
+    ws) as forward_dense computes it on their cropped and normalized
+    pixels, bit for bit.  The conv runs once over each _conv_blocks
+    rectangle, whose windows read their blocks of that in batches."""
     if not wins:
         return
     ws = model.spec.input_size
@@ -350,26 +350,14 @@ def _first_conv_batches(model, wins, levels, batch_size):
     starts, run_level, top_left, bottom_right = _conv_blocks(
         wins, corners, levels, ws)
     stops = np.append(starts[1:], len(wins))
-    k, stop = -1, 0
-    for lo in range(0, len(wins), batch_size):
-        hi = min(lo + batch_size, len(wins))
-        parts, at = [], lo
-        while at < hi:
-            if at == stop:
-                k += 1
-                start, stop = starts[k], stops[k]
-                (x0, y0), (x1, y1) = top_left[k], bottom_right[k]
-                band = levels[run_level[k]].image[y0:y1, x0:x1]
-                read = None         # the last rectangle's conv, freed first
-                read = conv_windows(normalize_image(band), lp.kernels,
-                                    lp.bias, corners[start:stop] - (x0, y0),
-                                    ws)
-            end = min(hi, stop)
-            parts.append(read(at - start, end - start))
-            at = end
-        first = parts[0] if len(parts) == 1 else np.concatenate(parts, 1)
-        del parts           # not held while the batch runs
-        yield lo, first
+    for start, stop, level, (x0, y0), (x1, y1) in zip(
+            starts, stops, run_level, top_left, bottom_right):
+        band = levels[level].image[y0:y1, x0:x1]
+        read = None             # the last rectangle's conv, freed first
+        read = conv_windows(normalize_image(band), lp.kernels, lp.bias,
+                            corners[start:stop] - (x0, y0), ws)
+        for lo in range(start, stop, batch_size):
+            yield lo, read(lo - start, min(lo + batch_size, stop) - start)
 
 
 def detect_image(model, image, cam=None, ranges=None, *,
@@ -382,17 +370,21 @@ def detect_image(model, image, cam=None, ranges=None, *,
 
     The dense route is faster in numpy than forward_fast, so counter gets
     k*k multiplies per step.  Its first trunk conv runs once per band
-    rectangle (_first_conv_batches), and batches of batch_size windows run
-    the rest of it (forward_dense_from): each batch's outputs are bit for
-    bit those of forward_dense on the cropped windows.  Background label 0,
-    scores below score_thresh and degenerate boxes are dropped before
-    refinement; final_windows gives the windows a pass runs.  Before any
-    window is built: ConfigError on a setting outside its range, and
-    DataError when the model does not take the 3-channel windows an RGB
-    image yields or its trunk opens with a pool.
+    rectangle (_first_conv_batches), and batches of at most batch_size of
+    its windows run the rest of it (forward_dense_from): the detections
+    are bit for bit those of forward_dense on the cropped windows, at any
+    batch size.  Background label 0, scores below score_thresh and
+    degenerate boxes are dropped before refinement; final_windows gives
+    the windows a pass runs.  Before any window is built: ConfigError on a
+    setting outside its range (batch_size an integer >= 1), and DataError
+    when the model does not take the 3-channel windows an RGB image yields
+    or its trunk opens with a pool.
     """
     if not 0.0 <= score_thresh <= 1.0:
         raise ConfigError(f"score_thresh must be in [0, 1], got {score_thresh}")
+    if not (isinstance(batch_size, (int, np.integer)) and batch_size >= 1):
+        raise ConfigError(f"batch_size must be an integer >= 1, "
+                          f"got {batch_size!r}")
     # each refuses a bad setting before it looks at its detections
     mean_shift_refine([], bandwidth_frac)
     nms([], nms_iou)

@@ -462,13 +462,18 @@ def test_detect_image_independent_of_batch_size():
     assert windows > pl.DETECT_BATCH_SIZE
     assert want
     for batch in (1, 7, windows, windows + 5):
-        got = pl.detect_image(model, image, score_thresh=0.2,
-                              batch_size=batch)
-        assert len(got) == len(want), batch
-        for g, w in zip(got, want):
-            assert g.label == w.label
-            assert abs(g.score - w.score) <= 1e-9
-            assert max(abs(a - b) for a, b in zip(g.box, w.box)) <= 1e-9
+        assert pl.detect_image(model, image, score_thresh=0.2,
+                               batch_size=batch) == want, batch
+
+
+@pytest.mark.parametrize("batch_size", [0, -1, 2.0, None])
+def test_detect_image_refuses_a_bad_batch_size(monkeypatch, batch_size):
+    # not an integer of at least 1: refused before any window is built
+    monkeypatch.setattr(pl, "final_windows", None)     # never reached
+    with pytest.raises(ConfigError, match="batch_size must be an integer "
+                       f">= 1, got {batch_size!r}"):
+        pl.detect_image(tiny_model(), np.zeros((40, 40, 3), dtype=np.uint8),
+                        batch_size=batch_size)
 
 
 def test_detect_image_refuses_a_nan_score(monkeypatch):
@@ -486,29 +491,28 @@ def test_detect_image_refuses_a_nan_score(monkeypatch):
 
 
 def rebuilt_detections(model, image, forward, score_thresh, cam=None,
-                       ranges=None, batch_size=pl.DETECT_BATCH_SIZE,
-                       outputs=None):
-    """detect_image's steps from public parts, with the given forward;
-    each batch's (loc, probs) is appended to outputs when given."""
+                       ranges=None, outputs=None):
+    """detect_image's steps from public parts, with the given forward run
+    once on all the cropped windows; its (loc, probs) is appended to
+    outputs when given."""
     ws = model.spec.input_size
     wins, levels = final_windows(image, cam=cam, ranges=ranges, ws=ws)
+    if not wins:
+        return []
+    x = normalize_image(np.stack([crop_window(w, levels, ws) for w in wins]))
+    loc, probs = forward(model, x)
+    if outputs is not None:
+        outputs.append((loc, probs))
     raw = []
-    for lo in range(0, len(wins), batch_size):
-        batch = wins[lo:lo + batch_size]
-        x = normalize_image(np.stack([crop_window(w, levels, ws)
-                                      for w in batch]))
-        loc, probs = forward(model, x)
-        if outputs is not None:
-            outputs.append((loc, probs))
-        for i, w in enumerate(batch):
-            label = int(probs[i].argmax())
-            score = float(probs[i].max())
-            if label == 0 or score < score_thresh:
-                continue
-            box = pl.decode_outputs(loc[i], w)
-            if box[0] < box[2] and box[1] < box[3]:
-                raw.append(pl.Detection(box=box, label=label, score=score,
-                                        source_window=w))
+    for i, w in enumerate(wins):
+        label = int(probs[i].argmax())
+        score = float(probs[i].max())
+        if label == 0 or score < score_thresh:
+            continue
+        box = pl.decode_outputs(loc[i], w)
+        if box[0] < box[2] and box[1] < box[3]:
+            raw.append(pl.Detection(box=box, label=label, score=score,
+                                    source_window=w))
     return pl.nms(pl.mean_shift_refine(raw))
 
 
@@ -550,13 +554,14 @@ def band_geometry_holds(case, model, wins, levels, batch_size):
         return bool(((corners % 5 != 0) & (corners % 2 == 1)).any())
     if case == "pruned-origin":
         return any(level.origin != (0, 0) for level in levels)
-    if case == "two-level-batch":
-        return any(len({w.level for w in wins[lo:lo + batch_size]}) == 2
-                   for lo in range(0, len(wins), batch_size))
+    starts, run_level, top_left, bottom_right = pl._conv_blocks(
+        wins, corners, levels, ws)
+    if case == "split-rectangle":
+        # a rectangle whose windows fill more than one batch, the last part
+        sizes = np.diff(np.append(starts, len(wins)))
+        return bool(((sizes > batch_size) & (sizes % batch_size > 0)).any())
     if case == "small-blocks":
         # more rectangles than levels, and some only part of a row of windows
-        starts, run_level, top_left, bottom_right = pl._conv_blocks(
-            wins, corners, levels, ws)
         widths = np.array([levels[k].image.shape[1] for k in run_level])
         return (len(starts) > len({w.level for w in wins})
                 and bool((bottom_right[:, 0] - top_left[:, 0] < widths).any()))
@@ -566,7 +571,7 @@ def band_geometry_holds(case, model, wins, levels, batch_size):
 @pytest.mark.parametrize("case, shape, camera, batch_size, block, kernel", [
     ("flush-odd", (39, 47), False, 64, None, 3),
     ("pruned-origin", (72, 96), True, 64, None, 3),
-    ("two-level-batch", (40, 52), False, 7, None, 3),
+    ("split-rectangle", (40, 52), False, 7, None, 3),
     ("small-blocks", (64, 80), True, 64, 400, 3),
     ("1x1-first", (40, 52), True, 16, None, 1),
 ])
@@ -574,7 +579,7 @@ def test_band_route_matches_the_per_window_route(case, shape, camera,
                                                  batch_size, block, kernel,
                                                  monkeypatch):
     # detect_image runs the first conv once per band rectangle; every
-    # batch's outputs, and so the detections, are bit for bit those of
+    # window's outputs, and so the detections, are bit for bit those of
     # forward_dense on the cropped windows
     if block is not None:
         monkeypatch.setattr(pl, "CONV_BLOCK_PIXELS", block)
@@ -592,11 +597,12 @@ def test_band_route_matches_the_per_window_route(case, shape, camera,
 def band_route_detections(model, image, cam, ranges, batch_size,
                           monkeypatch):
     """detect_image's detections, after asserting that they and every
-    batch's outputs are bitwise those of forward_dense on the cropped
-    windows."""
+    window's outputs, in batches of at most batch_size, are bitwise those
+    of forward_dense on all the cropped windows."""
     got_outputs = []
 
     def recording(model, first, counter=None):
+        assert first.shape[1] <= batch_size
         got_outputs.append(cm.forward_dense_from(model, first, counter))
         return got_outputs[-1]
 
@@ -605,13 +611,12 @@ def band_route_detections(model, image, cam, ranges, batch_size,
                           batch_size=batch_size)
     want_outputs = []
     want = rebuilt_detections(model, image, cm.forward_dense, 0.0, cam=cam,
-                              ranges=ranges, batch_size=batch_size,
-                              outputs=want_outputs)
+                              ranges=ranges, outputs=want_outputs)
     assert got == want
-    assert len(got_outputs) == len(want_outputs)
-    for g, w in zip(got_outputs, want_outputs):
-        for a, b in zip(g, w):
-            assert a.tobytes() == b.tobytes()
+    assert bool(got_outputs) == bool(want_outputs)
+    for parts, w in zip(zip(*got_outputs), *want_outputs):
+        # loc, then probs: the batches' rows in order
+        assert np.concatenate(parts).tobytes() == w.tobytes()
     return got
 
 
