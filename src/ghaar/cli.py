@@ -138,15 +138,21 @@ def cmd_eval(args):
 
 
 def cmd_detect(args):
+    paths = {}
+    for path in args.images:
+        stem = os.path.splitext(os.path.basename(path))[0]
+        if stem in paths:
+            raise ConfigError(f"{paths[stem]} and {path} would both write "
+                              f"{stem}_det.csv")
+        paths[stem] = path
     model = _load_model(args.model)
     cfg = cf.parse_config(args.config) if args.config else {}
     cam, ranges = cf.geometry_from_config(cfg)
     settings = cf.detect_settings_from_config(cfg)
     os.makedirs(args.out, exist_ok=True)
-    for path in args.images:
+    for stem, path in paths.items():
         image = ppm.read_ppm(path)
         dets = pl.detect_image(model, image, cam, ranges, **settings)
-        stem = os.path.splitext(os.path.basename(path))[0]
         csv_path = os.path.join(args.out, stem + "_det.csv")
         with open(csv_path, "w") as fh:
             fh.write("label,score,x1,y1,x2,y2\n")
@@ -166,12 +172,15 @@ def cmd_detect(args):
 
 def cmd_bench(args):
     cfg = cf.parse_config(args.config)
+    h, w = (cf.get_int(cfg, key, getattr(sy.SynthSettings, key))
+            for key in ("image_h", "image_w"))
+    for key, side in (("image_h", h), ("image_w", w)):
+        if side < 1:
+            raise ConfigError(f"config key '{key}' must be >= 1, got {side}")
     model = _load_model(args.model)
     cam, ranges = cf.geometry_from_config(cfg)
     settings = cf.detect_settings_from_config(cfg)
     ws = model.spec.input_size
-    h = cf.get_int(cfg, "image_h", sy.SynthSettings.image_h)
-    w = cf.get_int(cfg, "image_w", sy.SynthSettings.image_w)
     rng = np.random.default_rng(args.seed)
     image = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
     grid = dict(ws=ws, stride_frac=settings["stride_frac"],

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError, FormatError
+from .errors import ConfigError, DimensionError, FormatError
 from . import haar_space as hs
 from . import nn_core as nn
 
@@ -413,23 +413,11 @@ def forward_dense(model: CompressedModel, x, counter=None):
     return _run(model, x, counter, fast=False)
 
 
-def first_conv(spec: nn.NetworkSpec):
-    """The trunk's first layer, which detection runs over whole bands of
-    the pyramid; DataError for a trunk that opens with a pool, which
-    build_network_spec never makes."""
-    layer = spec.shared_trunk[0]
-    if layer.kind != "conv":
-        raise DataError(f"trunk opens with {layer.kind} {layer.name}; "
-                        "detection needs a conv first")
-    return layer
-
-
 def forward_dense_from(model: CompressedModel, first, counter=None):
     """forward_dense of a batch whose first trunk conv output, (O, N, H, W)
     channel-major, is given: the rest of the network runs on it, and the
     counter tallies that conv as forward_dense would."""
     spec = model.spec
-    first_conv(spec)
     n = first.shape[1]
     shape = (n, spec.in_channels, spec.input_size, spec.input_size)
     # the input no layer reads; it gives run_network the batch's shape

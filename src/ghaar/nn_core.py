@@ -71,9 +71,10 @@ class NetworkSpec:
     cla_head: tuple
 
     def __post_init__(self):
-        """ConfigError unless the graph is a detector: unique names, a trunk,
-        each layer fed what it takes, even maps at every pool, and 4 loc and
-        `classes` cla channels from convs and pools ending in HEAD_TAILS."""
+        """ConfigError unless the graph is a detector: unique names, a trunk
+        that opens with a conv, each layer fed what it takes, even maps at
+        every pool, and 4 loc and `classes` cla channels from convs and
+        pools ending in HEAD_TAILS."""
         seen = set()
         for layer in self.shared_trunk + self.loc_head + self.cla_head:
             if layer.name in seen:
@@ -83,6 +84,10 @@ class NetworkSpec:
             raise ConfigError("input needs channels and a size")
         if not self.shared_trunk:
             raise ConfigError("the shared trunk has no layers")
+        first = self.shared_trunk[0]
+        if first.kind != "conv":
+            raise ConfigError(f"the shared trunk opens with {first.kind} "
+                              f"{first.name}, not a conv")
 
         def walk(seq, channels, size):
             for layer in seq:
@@ -286,8 +291,8 @@ def conv_windows(x, kernels, bias, corners, size):
     out and stacked, bit for bit.
 
     The conv runs once over x, and a window reads from that the values
-    whose taps stay inside it.  Its 1-px ring (k == 3) has taps past the
-    window, which must read zeros, so each ring value comes from a conv
+    whose taps stay inside it.  On its 1-px ring a 3x3 kernel's taps pass
+    the window and must read zeros, so each ring value comes from a conv
     over a zero-padded slab instead.  A top-ring value but the corners is
     the same for every window whose top row is that row of x: the conv of
     that row and the next, padded above.  So each edge is one conv over
@@ -296,7 +301,6 @@ def conv_windows(x, kernels, bias, corners, size):
     Each value is so the GEMM column _conv_forward computes for it.
     """
     c = x.shape[0]
-    k = kernels.shape[2]
 
     def conv(slabs):
         return _conv_forward(slabs, kernels, bias)[0]
@@ -304,8 +308,6 @@ def conv_windows(x, kernels, bias, corners, size):
     blocks = sliding_window_view(conv(x[:, None])[:, 0], (size, size),
                                  axis=(1, 2))
     xs, ys = corners[:, 0], corners[:, 1]
-    if k == 1:
-        return lambda lo, hi: blocks[:, ys[lo:hi], xs[lo:hi]]
     # corners top-left, top-right, bottom-left, bottom-right: the conv of
     # each window's q x q pixels there holds the corner at flat cell 0..3
     q = min(size, 2)

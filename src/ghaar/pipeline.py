@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compressed import first_conv, forward_dense_from
+from .compressed import forward_dense_from
 from .compressed import forward_fast  # perfbench's traced runs wrap this name
 from .errors import ConfigError, DataError
 from .nn_core import conv_windows
@@ -345,7 +345,7 @@ def _first_conv_batches(model, wins, levels, batch_size):
     if not wins:
         return
     ws = model.spec.input_size
-    lp = model.params.layers[first_conv(model.spec).name]
+    lp = model.params.layers[model.spec.shared_trunk[0].name]
     corners = np.array([block_corner(w, levels, ws) for w in wins])
     starts, run_level, top_left, bottom_right = _conv_blocks(
         wins, corners, levels, ws)
@@ -377,8 +377,7 @@ def detect_image(model, image, cam=None, ranges=None, *,
     degenerate boxes are dropped before refinement; final_windows gives
     the windows a pass runs.  Before any window is built: ConfigError on a
     setting outside its range (batch_size an integer >= 1), and DataError
-    when the model does not take the 3-channel windows an RGB image yields
-    or its trunk opens with a pool.
+    when the model does not take the 3-channel windows of an RGB image.
     """
     if not 0.0 <= score_thresh <= 1.0:
         raise ConfigError(f"score_thresh must be in [0, 1], got {score_thresh}")
@@ -391,7 +390,6 @@ def detect_image(model, image, cam=None, ranges=None, *,
     if model.spec.in_channels != 3:
         raise DataError(f"model takes {model.spec.in_channels}-channel "
                         "input; detection feeds it RGB windows")
-    first_conv(model.spec)
     wins, levels = final_windows(image, cam=cam, ranges=ranges,
                                  ws=model.spec.input_size,
                                  stride_frac=stride_frac, ratio=ratio)

@@ -358,6 +358,37 @@ def test_bench_without_surviving_windows_is_data_error(workspace, tmp_path,
     assert "data error: no 16px window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("image_h", "-5"), ("image_w", "0")])
+def test_bench_refuses_a_frame_side_below_one(tmp_path, capsys, key, value):
+    # refused before the model is read: that one does not exist (exit 3)
+    cfg = tmp_path / "frame.cfg"
+    cfg.write_text(SMALL_CONFIG + f"{key} = {value}\n")
+    assert cli.main(["bench", "--config", str(cfg),
+                     "--model", str(tmp_path / "missing.ghnw")]) == 2
+    assert (f"config error: config key '{key}' must be >= 1, got {value}"
+            in capsys.readouterr().err)
+
+
+def test_detect_refuses_images_whose_outputs_clash(workspace, tmp_path,
+                                                   capsys, monkeypatch):
+    # a/x.ppm and b/x.ppm would both write x_det.csv, the second over the
+    # first: refused before any image is read or any file written
+    image = (workspace["data"] / "train_00000.ppm").read_bytes()
+    paths = [tmp_path / "a" / "x.ppm", tmp_path / "b" / "x.ppm"]
+    for path in paths:
+        path.parent.mkdir()
+        path.write_bytes(image)
+    reads = []
+    monkeypatch.setattr(ppm, "read_ppm", reads.append)
+    out = tmp_path / "det"
+    assert cli.main(["detect", "-m", str(workspace["model"]), "-o", str(out),
+                     *map(str, paths)]) == 2
+    assert (f"config error: {paths[0]} and {paths[1]} would both write "
+            "x_det.csv" in capsys.readouterr().err)
+    assert reads == [] and not out.exists()
+
+
 @pytest.fixture
 def reads(monkeypatch):
     """The path of every image extract_samples reads."""

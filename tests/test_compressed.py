@@ -254,6 +254,8 @@ CLA_TAIL = "layer cla_gap gap 0 0 0 0 0\nlayer cla_softmax softmax 0 0 0 0 0\n"
     ([(LOC_GAP, "layer loc_softmax softmax 0 0 0 0 0\n" + LOC_GAP)],
      "loc_softmax: softmax outside a head's tail"),
     ([(TRUNK_LINES, "")], "the shared trunk has no layers"),
+    ([("section trunk\n", "section trunk\nlayer pool0 maxpool 0 0 0 0 0\n")],
+     "the shared trunk opens with maxpool pool0, not a conv"),
     # texts of a valid graph that serialize_spec would not write, so
     # re-encoding them would give other bytes
     ([("classes 3\n", "classes 3\n\n")], "not the canonical text"),
@@ -272,7 +274,7 @@ CLA_TAIL = "layer cla_gap gap 0 0 0 0 0\nlayer cla_softmax softmax 0 0 0 0 0\n"
         "classes-width", "short-header", "empty-input", "zero-width-conv",
         "conv-after-gap", "no-loc-gap", "no-cla-softmax",
         "softmax-before-gap", "gap-in-trunk", "softmax-in-loc-head",
-        "empty-trunk", "blank-line", "doubled-space", "flag-2",
+        "empty-trunk", "pool-first", "blank-line", "doubled-space", "flag-2",
         "wrong-signature", "non-ascii", "unknown-section",
         "unknown-directive", "seven-field-layer", "layer-before-section",
         "no-classes-line"])

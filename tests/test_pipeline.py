@@ -635,17 +635,6 @@ def test_band_route_matches_on_random_geometry(h, w, camera, batch_size,
                               ranges, batch_size, monkeypatch)
 
 
-def test_detect_image_refuses_a_trunk_that_opens_with_a_pool(monkeypatch):
-    model = tiny_model()
-    spec = dataclasses.replace(model.spec, shared_trunk=(
-        (nn.LayerSpec("pool0", "maxpool"),) + model.spec.shared_trunk),
-        input_size=32)
-    monkeypatch.setattr(pl, "final_windows", None)     # never reached
-    with pytest.raises(DataError, match="opens with maxpool pool0"):
-        pl.detect_image(dataclasses.replace(model, spec=spec),
-                        np.zeros((40, 40, 3), dtype=np.uint8))
-
-
 def test_detect_image_refuses_a_model_without_three_channels():
     spec = nn.build_network_spec(in_channels=1, classes=3, window=16,
                                  trunk_widths=(2, 3, 3, 3), head_widths=(3, 3),
