@@ -97,9 +97,8 @@ def cmd_eval(args):
     if "bands" in cfg:
         if cam is None:
             raise ConfigError("bands needs the camera and range keys")
-        edges = pl.check_band_edges(cf.get_float_tuple(cfg, "bands"))
-        kw = dict(cam=cam, d3d=ranges.d3d,
-                  band_edges=list(zip(edges, edges[1:])))
+        kw = dict(cam=cam, d3d=ranges.d3d, band_edges=pl.check_band_edges(
+            cf.get_float_tuple(cfg, "bands")))
     ex = cf.extract_params_from_config(cfg)
     sy.check_extract_settings(**ex)
     model = _load_model(args.model)

@@ -26,8 +26,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError
 from .haar_space import SIDE
+from .windows import DEFAULT_WS
 
-DEFAULT_WINDOW = 48
 DEFAULT_TRUNK = (64, 128, 256, 256)
 DEFAULT_HEAD = (128, 128)
 DEFAULT_BOTTLENECK = 64
@@ -133,7 +133,7 @@ class NetworkSpec:
         return out
 
 
-def build_network_spec(in_channels=3, classes=3, window=DEFAULT_WINDOW,
+def build_network_spec(in_channels=3, classes=3, window=DEFAULT_WS,
                        trunk_widths=DEFAULT_TRUNK, head_widths=DEFAULT_HEAD,
                        bottleneck=DEFAULT_BOTTLENECK, constrained=True):
     """Construct the default architecture at configurable widths.

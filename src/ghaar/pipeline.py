@@ -457,11 +457,6 @@ def _match_image(dets, gts, iou_thresh):
     return pairs, fps, fns
 
 
-def _implied_z(box, cam, d3d):
-    side = ((box[2] - box[0]) + (box[3] - box[1])) / 2.0
-    return cam.m11 * d3d / side - cam.m34
-
-
 def check_band_edges(edges):
     """edges as a tuple; ConfigError unless there are at least two, all
     finite and strictly increasing."""
@@ -481,9 +476,10 @@ def evaluate(dets_by_image, gts_by_image, iou_thresh=EVAL_IOU, *,
     """Detection-level scoring at the given IoU threshold.
 
     Both arguments map image keys to lists; the key sets must agree.  With
-    cam, d3d, and band_edges (list of (z_lo, z_hi), each pair passing
-    check_band_edges), precision/recall are additionally bucketed by the
-    distance each box size implies.
+    cam, d3d, and band_edges (edges z0 < z1 < ..., as check_band_edges
+    admits them), precision/recall are additionally reported per band
+    [z_k, z_k+1) of the depth z3d that CameraModel.implied gives each box,
+    its side the mean of its width and height.
     """
     if set(dets_by_image) != set(gts_by_image):
         raise DataError("detections and ground truths reference "
@@ -507,14 +503,18 @@ def evaluate(dets_by_image, gts_by_image, iou_thresh=EVAL_IOU, *,
     if band_edges is not None:
         if cam is None or d3d is None:
             raise ConfigError("distance bands require cam and d3d")
+        edges = check_band_edges(band_edges)
+        # z3d of each matched, false and missed box
+        depths = [[cam.implied((x1 + x2) / 2.0, (y1 + y2) / 2.0,
+                               ((x2 - x1) + (y2 - y1)) / 2.0, d3d)[2]
+                   for x1, y1, x2, y2 in boxes]
+                  for boxes in ([g.box for _, g in pairs],
+                                [d.box for d in fp_dets],
+                                [g.box for g in fn_gts])]
         rows = []
-        for z_lo, z_hi in band_edges:
-            check_band_edges((z_lo, z_hi))
-            def hit(box):
-                return z_lo <= _implied_z(box, cam, d3d) < z_hi
-            tp_b = sum(hit(g.box) for _, g in pairs)
-            fp_b = sum(hit(d.box) for d in fp_dets)
-            fn_b = sum(hit(g.box) for g in fn_gts)
+        for z_lo, z_hi in zip(edges, edges[1:]):
+            tp_b, fp_b, fn_b = (sum(z_lo <= z < z_hi for z in zs)
+                                for zs in depths)
             rows.append(BandReport(
                 z_lo=z_lo, z_hi=z_hi, tp=tp_b, fp=fp_b, fn=fn_b,
                 precision=tp_b / (tp_b + fp_b) if tp_b + fp_b else 1.0,

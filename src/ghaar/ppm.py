@@ -69,6 +69,8 @@ def read_boxes(path):
                 x1, y1, x2, y2 = (float(p) for p in parts[1:])
             except ValueError:
                 raise DataError(f"{path}:{ln}: non-numeric annotation")
+            if not np.isfinite((x1, y1, x2, y2)).all():
+                raise DataError(f"{path}:{ln}: non-finite coordinate")
             if x1 >= x2 or y1 >= y2:
                 raise DataError(f"{path}:{ln}: degenerate box")
             boxes.append((label, (x1, y1, x2, y2)))

@@ -130,7 +130,7 @@ def _sample_objects(rng, cam: CameraModel, ranges: SceneRanges,
     for _ in range(n_obj):
         for _attempt in range(st.tries):
             side = float(rng.uniform(st.size_lo, st.size_hi))
-            z3d = cam.m11 * ranges.d3d / side - cam.m34
+            _, _, z3d = cam.implied(0.0, 0.0, side, ranges.d3d)
             if z3d <= 0:
                 continue
             x3d = float(rng.uniform(ranges.x3d_min + mx, ranges.x3d_max - mx))

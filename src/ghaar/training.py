@@ -30,6 +30,7 @@ from .errors import ConfigError, TrainingError
 from . import haar_space as hs
 from . import nn_core as nn
 from .ppm import normalize_image
+from .windows import DEFAULT_WS
 
 EVAL_BATCH = 256        # held-out windows per forward call
 
@@ -57,7 +58,7 @@ class TrainConfig:
     loss_weights: tuple = (1.0, 1.0)   # (localization, classification)
     seed: int = 0
     constrain: bool = True       # network_spec's flag; the spec decides
-    window: int = nn.DEFAULT_WINDOW
+    window: int = DEFAULT_WS
     in_channels: int = 3
     classes: int = 3
     trunk_widths: tuple = nn.DEFAULT_TRUNK

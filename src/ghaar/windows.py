@@ -77,6 +77,16 @@ class CameraModel:
         d2d = self.m11 * d3d / denom
         return x2d, y2d, d2d
 
+    def implied(self, x2d, y2d, d2d, d3d):
+        """project's inverse: (x3d, y3d, z3d) of the square of side d3d
+        seen at (x2d, y2d, d2d).  The projective depth w = m11*d3d/d2d is
+        z3d + m34; x2d and y2d may be arrays, since d2d alone fixes w."""
+        w = self.m11 * d3d / d2d
+        z3d = w - self.m34
+        x3d = (x2d * w - self.m13 * z3d - self.m14) / self.m11
+        y3d = (y2d * w - self.m23 * z3d - self.m24) / self.m22
+        return x3d, y3d, z3d
+
 
 @dataclass(frozen=True)
 class SceneRanges:
@@ -159,25 +169,12 @@ def sliding_windows(level: PyramidLevel, level_id: int, ws=DEFAULT_WS,
             for y in _axis_positions(h, ws, step) for x in xs]
 
 
-def _implied_axes(x2d, y2d, d2d, cam: CameraModel, d3d: float):
-    """implied_3d's arithmetic; x2d and y2d may be arrays over one level's
-    grid axes, since d2d alone fixes the depth."""
-    w = cam.m11 * d3d / d2d
-    z3d = w - cam.m34
-    x3d = (x2d * w - cam.m13 * z3d - cam.m14) / cam.m11
-    y3d = (y2d * w - cam.m23 * z3d - cam.m24) / cam.m22
-    return x3d, y3d, z3d
-
-
 def implied_3d(window: Window, cam: CameraModel, d3d: float):
-    """World position whose projection is exactly this window.
-
-    Inverts the forward model: the projective depth w = m11*d3d/d2d equals
-    z3d + m34, after which the linear terms solve directly.
-    """
+    """World position whose projection is exactly this window
+    (CameraModel.implied); DataError unless its side is positive."""
     if window.d2d <= 0:
         raise DataError(f"window side must be positive, got {window.d2d}")
-    return _implied_axes(window.x2d, window.y2d, window.d2d, cam, d3d)
+    return cam.implied(window.x2d, window.y2d, window.d2d, d3d)
 
 
 def perspective_filter(windows, cam: CameraModel, ranges: SceneRanges):
@@ -212,9 +209,9 @@ def final_windows(image, cam=None, ranges=None, ws=DEFAULT_WS,
         ys = np.asarray(_axis_positions(lh, ws, step))
         if cam is not None and ranges is not None:
             # corner_window's centre arithmetic, on the axes
-            x3d, y3d, _ = _implied_axes((xs + ws / 2) * scale,
-                                        (ys + ws / 2) * scale, ws * scale,
-                                        cam, ranges.d3d)
+            x3d, y3d, _ = cam.implied((xs + ws / 2) * scale,
+                                      (ys + ws / 2) * scale, ws * scale,
+                                      ranges.d3d)
             xs = xs[(ranges.x3d_min <= x3d) & (x3d <= ranges.x3d_max)]
             ys = ys[(ranges.y3d_min <= y3d) & (y3d <= ranges.y3d_max)]
         xs, ys = xs.tolist(), ys.tolist()

@@ -3,6 +3,7 @@
 import hashlib
 import os
 import shlex
+import shutil
 import struct
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from ghaar import ppm
 from ghaar import synth as sy
 from ghaar import training as tr
 from ghaar import windows as wd
+from test_pipeline import tiny_model
 
 SMALL_CONFIG = """
 # camera and scene
@@ -138,6 +140,89 @@ def test_detect_writes_csv_and_ppm(workspace):
     csv_path = out / "train_00000_det.csv"
     assert csv_path.read_text().splitlines()[0] == "label,score,x1,y1,x2,y2"
     assert (out / "train_00000_det.ppm").exists()
+
+
+def test_detect_writes_each_detection_and_draws_only_its_outlines(tmp_path):
+    # a model that detects: the random tiny net fires on random pixels
+    model_path = tmp_path / "tiny.ghnw"
+    model_path.write_bytes(cm.encode_model(tiny_model()))
+    cfg = tmp_path / "detect.cfg"
+    cfg.write_text("score_thresh = 0.2\n")
+    image = np.random.default_rng(0).integers(0, 256, size=(64, 80, 3),
+                                              dtype=np.uint8)
+    ppm.write_ppm(tmp_path / "frame.ppm", image)
+    out = tmp_path / "det"
+    assert cli.main(["detect", "-m", str(model_path), "-c", str(cfg),
+                     "-o", str(out), "--annotate",
+                     str(tmp_path / "frame.ppm")]) == 0
+    dets = pl.detect_image(cm.decode_model(model_path.read_bytes()), image,
+                           score_thresh=0.2)
+    assert dets
+    # one row per detection: score to 4 decimals, box corners to 2
+    rows = [f"{d.label},{d.score:.4f}," + ",".join(f"{v:.2f}" for v in d.box)
+            for d in dets]
+    assert ((out / "frame_det.csv").read_text().splitlines()
+            == ["label,score,x1,y1,x2,y2"] + rows)
+    painted = ppm.read_ppm(out / "frame_det.ppm")
+    outlines = np.zeros_like(image)
+    for d in dets:
+        ppm.draw_box(outlines, d.box, (1, 1, 1))
+    outlines = outlines.any(axis=2)
+    changed = (painted != image).any(axis=2)
+    assert changed.any() and not (changed & ~outlines).any()
+    colors = set(cli.LABEL_COLORS.values())
+    assert all(tuple(int(c) for c in px) in colors for px in painted[outlines])
+
+
+def test_eval_out_writes_the_printed_lines_one_band_per_edge_pair(
+        workspace, tmp_path, capsys):
+    model_path = tmp_path / "tiny.ghnw"
+    model_path.write_bytes(cm.encode_model(tiny_model()))
+    edges = (0.0, 15.0, 17.5, 1000.0, 1e5)
+    cfg = tmp_path / "bands.cfg"
+    cfg.write_text(SMALL_CONFIG + "score_thresh = 0.2\nbands = "
+                   + " ".join(map(str, edges)) + "\n")
+    out = tmp_path / "ev"
+    assert cli.main(["eval", "-c", str(cfg), "-m", str(model_path),
+                     "--data", str(workspace["data"]), "-o", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert (out / "eval.txt").read_text() == printed
+    bands = [line.split() for line in printed.splitlines()
+             if line.startswith("band ")]
+    assert [b[1] for b in bands] == [f"{lo:g}..{hi:g}"
+                                     for lo, hi in zip(edges, edges[1:])]
+    # the same scoring, run through the library
+    conf = cf.parse_config(str(cfg))
+    cam, ranges = cf.geometry_from_config(conf)
+    model = cm.decode_model(model_path.read_bytes())
+    manifest = sy.load_manifest(workspace["data"])
+    dets = {name: pl.detect_image(model,
+                                  ppm.read_ppm(workspace["data"] / name),
+                                  cam, ranges,
+                                  **cf.detect_settings_from_config(conf))
+            for name, _ in manifest.entries}
+    rep = pl.evaluate(dets, dict(manifest.entries), cam=cam, d3d=ranges.d3d,
+                      band_edges=edges)
+    assert ([(int(b[7]), int(b[9]), int(b[11])) for b in bands]
+            == [(r.tp, r.fp, r.fn) for r in rep.bands])
+    assert sum(r.fp for r in rep.bands) and sum(r.fn for r in rep.bands)
+
+
+@pytest.mark.parametrize("value", ["-inf", "nan"])
+def test_non_finite_box_coordinate_is_data_error_naming_its_line(
+        workspace, tmp_path, capsys, value):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    sidecar = data / "train_00001.txt"
+    sidecar.write_text(sidecar.read_text() + f"2 {value} 30.0 42.0 40.0\n")
+    line = len(sidecar.read_text().splitlines())
+    cfg, model = str(workspace["cfg"]), str(workspace["model"])
+    for argv in (["train", "-c", cfg, "--data", str(data),
+                  "-o", str(tmp_path / "run")],
+                 ["eval", "-c", cfg, "-m", model, "--data", str(data)]):
+        assert cli.main(argv) == 3
+        assert (f"data error: {sidecar}:{line}: non-finite coordinate"
+                in capsys.readouterr().err)
 
 
 def test_eval_reports(workspace, capsys):

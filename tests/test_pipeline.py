@@ -405,15 +405,16 @@ def test_evaluate_distance_bands():
     far_gt = pl.GroundTruthBox((300, 300, 316, 316), 1)    # side 16 -> z 50
     dets = [det((100, 100, 140, 140), score=0.9)]
     rep = pl.evaluate({"a": dets}, {"a": [near_gt, far_gt]},
-                      cam=cam, d3d=1.0, band_edges=[(0, 30), (30, 60)])
+                      cam=cam, d3d=1.0, band_edges=[0, 30, 60])
     near, far = rep.bands
+    assert (near.z_lo, near.z_hi, far.z_lo, far.z_hi) == (0, 30, 30, 60)
     assert (near.tp, near.fn) == (1, 0)
     assert near.recall == 1.0
     assert (far.tp, far.fn) == (0, 1)
     assert far.recall == 0.0
     with pytest.raises(ConfigError):
-        pl.evaluate({"a": dets}, {"a": [near_gt]}, band_edges=[(0, 30)])
-    for bad in ([(30, 0)], [(0, np.nan)], [(0, 30), (30, 30)]):
+        pl.evaluate({"a": dets}, {"a": [near_gt]}, band_edges=[0, 30])
+    for bad in ([30, 0], [0, np.nan], [0, 30, 30], [30]):
         with pytest.raises(ConfigError):
             pl.evaluate({"a": dets}, {"a": [near_gt]}, cam=cam, d3d=1.0,
                         band_edges=bad)

@@ -1,6 +1,7 @@
 """PPM I/O, sidecars, resizing, normalization."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,15 @@ def test_boxes_round_trip(tmp_path):
     bad.write_text("1 5 5 2 2\n")
     with pytest.raises(DataError):
         ppm.read_boxes(bad)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_sidecar_coordinate_names_its_line(tmp_path, value):
+    path = tmp_path / "img.txt"
+    path.write_text(f"1 2 3 10 12\n2 1 {value} 4 9\n")
+    with pytest.raises(DataError,
+                       match=re.escape(f"{path}:2: non-finite coordinate")):
+        ppm.read_boxes(path)
 
 
 def test_resize_identity_and_constant():

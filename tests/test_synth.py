@@ -108,6 +108,30 @@ def test_extract_flip_pairs(tmp_path):
                             loc[i][2], loc[i][3]), atol=1e-6)
 
 
+def test_extract_flip_keeps_the_plain_positives_and_scales_backgrounds(
+        tmp_path):
+    # test_extract_flip_pairs checks that each positive's mirror follows it
+    cam, ranges, st = scene(n_images=3)
+    manifest = sy.synth_generate(st, cam, ranges, tmp_path, seed=13)
+    kw = dict(ws=24, n_jitter=2, seed=4)
+    flipped = sy.extract_samples(manifest, tmp_path, bg_ratio=0.0,
+                                 flip=True, **kw)
+    plain = sy.extract_samples(manifest, tmp_path, bg_ratio=0.0, **kw)
+    for got, want in zip(flipped, plain):
+        assert np.array_equal(got[0::2], want)
+    # backgrounds follow bg_ratio over positives and mirrors alike
+    _, _, labels = sy.extract_samples(manifest, tmp_path, bg_ratio=1.5,
+                                      flip=True, **kw)
+    at = 0
+    for _, gts in manifest.entries:
+        n_pos = 2 * 2 * len(gts)
+        n_bg = int(round(1.5 * n_pos))
+        assert (labels[at:at + n_pos] != 0).all()
+        assert (labels[at + n_pos:at + n_pos + n_bg] == 0).all()
+        at += n_pos + n_bg
+    assert at == len(labels)
+
+
 def test_extract_loc_targets_in_band(tmp_path):
     cam, ranges, st = scene(n_images=6)
     manifest = sy.synth_generate(st, cam, ranges, tmp_path, seed=17)
