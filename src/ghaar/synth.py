@@ -25,9 +25,9 @@ from .windows import (
     RS_LO,
     CameraModel,
     SceneRanges,
-    build_pyramid,
+    _level_band,
+    _level_sizes,
     corner_window,
-    crop_window,
 )
 
 BG_LO = 60.0      # background texture value band
@@ -222,20 +222,20 @@ def load_manifest(src_dir) -> DatasetManifest:
     return DatasetManifest(entries=tuple(entries), split=split, seed=seed)
 
 
-def _window_at(level, level_id, cx_l, cy_l, ws):
-    """Window snapped to integer top-left corner inside the level."""
-    lh, lw = level.image.shape[:2]
-    x0 = int(np.clip(round(cx_l - ws / 2), 0, lw - ws))
-    y0 = int(np.clip(round(cy_l - ws / 2), 0, lh - ws))
-    return corner_window(level, level_id, x0, y0, ws)
+def _window_at(cx, cy, lh, lw, ws):
+    """Top-left corner (x, y) of the ws-px window centred nearest (cx, cy)
+    on an lh x lw level, clipped so the window stays inside the level."""
+    x0 = int(np.clip(round(cx - ws / 2), 0, lw - ws))
+    y0 = int(np.clip(round(cy - ws / 2), 0, lh - ws))
+    return x0, y0
 
 
-def _band_level(levels, side, ws):
+def _band_level(sizes, side, ws):
     """The pyramid level whose size band sits closest to the object side."""
     mid = np.sqrt(RS_LO * RS_HI)
     best, best_d = 0, np.inf
-    for k, level in enumerate(levels):
-        d = abs(np.log(side / (level.scale * ws)) - np.log(mid))
+    for k, (scale, _, _) in enumerate(sizes):
+        d = abs(np.log(side / (scale * ws)) - np.log(mid))
         if d < best_d:
             best, best_d = k, d
     return best
@@ -256,57 +256,56 @@ def extract_samples(manifest: DatasetManifest, src_dir, *, ws=DEFAULT_WS,
                     bg_ratio=3.0, flip=False, seed=0):
     """Window-level training arrays from a rendered dataset.
 
-    Positives are n_jitter randomly shifted crops around each object (plus a
-    mirrored copy when flip is set); backgrounds are object-free windows at
-    bg_ratio per positive.  Returns (patches, loc, labels) with patches as
-    uint8 (N, ws, ws, 3) so large sets stay small in memory.
+    Positives are n_jitter shifted windows around each object on the level
+    whose size band holds it; backgrounds are object-free, round(bg_ratio x
+    positives) per image.  Each ws x ws block is resampled alone at its
+    corner, bit-equal to that block of the whole level.  flip follows every
+    sample with its mirror and moves no other.  Returns (patches, loc,
+    labels), patches as uint8 (N, ws, ws, 3).
     """
     check_extract_settings(n_jitter, jitter_frac, bg_ratio)
     rng = np.random.default_rng(seed)
     patches, locs, labels = [], [], []
 
     def add(patch, loc, label):
-        patches.append(patch)
-        locs.append(np.asarray(loc, dtype=np.float32))
-        labels.append(label)
+        samples = [(patch, loc)]
+        if flip:   # an object's loc mirrors with it; a background's is 0
+            mirrored = (1.0 - loc[1], 1.0 - loc[0], loc[2], loc[3])
+            samples.append((patch[:, ::-1], mirrored if label else loc))
+        for patch, loc in samples:
+            patches.append(np.ascontiguousarray(patch))
+            locs.append(np.asarray(loc, dtype=np.float32))
+            labels.append(label)
 
     for name, gts in manifest.entries:
         image = read_ppm(os.path.join(src_dir, name))
-        levels = build_pyramid(image, ws, ratio)
-        before = len(patches)
+        sizes = _level_sizes(image.shape, ws, ratio)
+
+        def block(k, x0, y0):
+            return _level_band(image, *sizes[k], (y0, y0 + ws), (x0, x0 + ws))
+
         for gt in gts:
             x1, y1, x2, y2 = gt.box
             side = ((x2 - x1) + (y2 - y1)) / 2.0
-            k = _band_level(levels, side, ws)
-            scale = levels[k].scale
+            k = _band_level(sizes, side, ws)
+            scale, lh, lw = sizes[k]
             for _ in range(n_jitter):
                 jx, jy = rng.uniform(-jitter_frac, jitter_frac, size=2) * ws
-                win = _window_at(levels[k], k,
-                                 (x1 + x2) / 2.0 / scale + jx,
-                                 (y1 + y2) / 2.0 / scale + jy, ws)
-                patch = np.ascontiguousarray(crop_window(win, levels, ws))
-                loc = encode_target(gt.box, win)
-                add(patch, loc, gt.label)
-                if flip:
-                    add(np.ascontiguousarray(patch[:, ::-1]),
-                        (1.0 - loc[1], 1.0 - loc[0], loc[2], loc[3]),
-                        gt.label)
-        n_bg = int(round(bg_ratio * (len(patches) - before)))
-        gt_boxes = [g.box for g in gts]
-        for _ in range(n_bg):
+                x0, y0 = _window_at((x1 + x2) / 2.0 / scale + jx,
+                                    (y1 + y2) / 2.0 / scale + jy, lh, lw, ws)
+                add(block(k, x0, y0),
+                    encode_target(gt.box, corner_window(scale, k, x0, y0, ws)),
+                    gt.label)
+        for _ in range(int(round(bg_ratio * (n_jitter * len(gts))))):
             for _attempt in range(50):
-                k = int(rng.integers(0, len(levels)))
-                level = levels[k]
-                lh, lw = level.image.shape[:2]
+                k = int(rng.integers(0, len(sizes)))
+                s, lh, lw = sizes[k]
                 x0 = int(rng.integers(0, lw - ws + 1))
                 y0 = int(rng.integers(0, lh - ws + 1))
-                s = level.scale
                 wbox = (x0 * s, y0 * s, (x0 + ws) * s, (y0 + ws) * s)
-                if any(_intersects(wbox, b) for b in gt_boxes):
+                if any(_intersects(wbox, g.box) for g in gts):
                     continue
-                win = corner_window(level, k, x0, y0, ws)
-                add(np.ascontiguousarray(crop_window(win, levels, ws)),
-                    np.zeros(4), 0)
+                add(block(k, x0, y0), np.zeros(4), 0)
                 break
     if not patches:
         raise DataError("dataset produced no training samples")

@@ -11,8 +11,8 @@ final_windows takes the intersection on the grid axes before any
 resampling: on one level d2D is fixed, so the implied x3D depends on x2D
 alone and y3D on y2D alone, and the kept set is the product of one mask
 per axis.  Only the band of each level that holds kept windows is
-resampled.  build_pyramid, sliding_windows and perspective_filter are the
-same sieves applied one after the other to whole levels.
+resampled.  build_pyramid, sliding_windows and perspective_filter, the
+same sieves one after the other on whole levels, are its reference.
 """
 
 from dataclasses import dataclass
@@ -165,7 +165,7 @@ def sliding_windows(level: PyramidLevel, level_id: int, ws=DEFAULT_WS,
     if min(h, w) < ws:
         return []
     xs = _axis_positions(w, ws, step)
-    return [corner_window(level, level_id, x, y, ws)
+    return [corner_window(level.scale, level_id, x, y, ws)
             for y in _axis_positions(h, ws, step) for x in xs]
 
 
@@ -223,17 +223,15 @@ def final_windows(image, cam=None, ranges=None, ws=DEFAULT_WS,
             scale=scale, image=_level_band(img, scale, lh, lw, rows, cols),
             origin=(cols[0], rows[0]))
         levels.append(level)
-        wins.extend(corner_window(level, k, x, y, ws)
-                    for y in ys for x in xs)
+        wins.extend(corner_window(scale, k, x, y, ws) for y in ys for x in xs)
     return wins, levels
 
 
-def corner_window(level: PyramidLevel, level_id: int, x, y, ws=DEFAULT_WS):
-    """The window whose ws x ws block on its level has top-left pixel
-    (x, y); crop_window is the inverse."""
-    s = level.scale
-    return Window(x2d=(x + ws / 2) * s, y2d=(y + ws / 2) * s, d2d=ws * s,
-                  level=level_id)
+def corner_window(scale, level_id: int, x, y, ws=DEFAULT_WS):
+    """The window whose ws x ws block on the level of this scale has
+    top-left pixel (x, y); crop_window is the inverse."""
+    return Window(x2d=(x + ws / 2) * scale, y2d=(y + ws / 2) * scale,
+                  d2d=ws * scale, level=level_id)
 
 
 def block_corner(win: Window, levels, ws=DEFAULT_WS):

@@ -225,6 +225,25 @@ def test_non_finite_box_coordinate_is_data_error_naming_its_line(
                 in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("label", ["0", "-1"])
+def test_box_label_below_one_is_data_error_naming_its_line(
+        workspace, tmp_path, capsys, label):
+    # label 0 would train an object as background and count a miss no
+    # detection can match
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    sidecar = data / "train_00001.txt"
+    sidecar.write_text(sidecar.read_text() + f"{label} 5.0 30.0 42.0 40.0\n")
+    line = len(sidecar.read_text().splitlines())
+    cfg, model = str(workspace["cfg"]), str(workspace["model"])
+    for argv in (["train", "-c", cfg, "--data", str(data),
+                  "-o", str(tmp_path / "run")],
+                 ["eval", "-c", cfg, "-m", model, "--data", str(data)]):
+        assert cli.main(argv) == 3
+        assert (f"data error: {sidecar}:{line}: object label {label} < 1"
+                in capsys.readouterr().err)
+
+
 def test_eval_reports(workspace, capsys):
     assert cli.main(["eval", "--config", str(workspace["cfg"]),
                      "--model", str(workspace["model"]),

@@ -67,6 +67,15 @@ def test_non_finite_sidecar_coordinate_names_its_line(tmp_path, value):
         ppm.read_boxes(path)
 
 
+@pytest.mark.parametrize("label", ["0", "-1"])
+def test_sidecar_label_below_one_names_its_line(tmp_path, label):
+    path = tmp_path / "img.txt"
+    path.write_text(f"1 2 3 10 12\n{label} 1 2 4 9\n")
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}:2: object label {label} < 1")):
+        ppm.read_boxes(path)
+
+
 def test_resize_identity_and_constant():
     rng = np.random.default_rng(1)
     img = rng.uniform(0, 255, size=(9, 7, 3))
