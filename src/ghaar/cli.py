@@ -103,6 +103,12 @@ def cmd_eval(args):
     sy.check_extract_settings(**ex)
     model = _load_model(args.model)
     manifest = sy.load_manifest(args.data)
+    for name, gts in manifest.entries:
+        for g in gts:
+            if g.label >= model.spec.classes:
+                raise DataError(f"{os.path.join(args.data, name)}: object "
+                                f"label {g.label} outside the model's "
+                                f"{model.spec.classes} classes")
     dets_by = {}
     for name, _ in manifest.entries:
         image = ppm.read_ppm(os.path.join(args.data, name))

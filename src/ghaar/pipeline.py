@@ -22,7 +22,6 @@ from .windows import (
     DEFAULT_RATIO,
     DEFAULT_STRIDE_FRAC,
     Window,
-    block_corner,
     crop_window,  # perfbench's traced runs wrap this name
     final_windows,
 )
@@ -316,48 +315,40 @@ def nms(dets, iou_thresh=DETECT_NMS_IOU):
     return [det for det, kept in zip(ranked, keep) if kept]
 
 
-def _conv_blocks(wins, corners, levels, ws):
-    """Runs of consecutive windows whose blocks the first conv takes in one
-    pass, as arrays over the runs: each run's first window, its level, and
-    the top-left (x0, y0) and bottom-right (x1, y1, exclusive) corners of
-    the rectangle of the level's band its blocks cover.  A level's windows
-    are cut into runs by their corner's row, and column, in steps that
-    keep a rectangle within CONV_BLOCK_PIXELS pixels (or one window's
-    block): whole rows of windows while the band is narrow enough."""
-    level = np.array([w.level for w in wins], dtype=np.int64)
-    width = np.array([lv.image.shape[1] for lv in levels])[level]
-    rows = np.maximum(ws, CONV_BLOCK_PIXELS // width)
-    cols = np.maximum(ws, CONV_BLOCK_PIXELS // rows)
-    key = np.stack([level, corners[:, 1] // (rows - ws + 1),
-                    corners[:, 0] // (cols - ws + 1)], axis=1)
-    starts = np.flatnonzero(np.concatenate(
-        ([True], (key[1:] != key[:-1]).any(axis=1))))
-    return (starts, level[starts], np.minimum.reduceat(corners, starts),
-            np.maximum.reduceat(corners, starts) + ws)
-
-
-def _first_conv_batches(model, wins, levels, batch_size):
-    """(start, output) per batch of at most batch_size windows, in order:
-    output is the trunk's first conv over the batch's windows, (O, n, ws,
-    ws) as forward_dense computes it on their cropped and normalized
-    pixels, bit for bit.  The conv runs once over each _conv_blocks
-    rectangle, whose windows read their blocks of that in batches."""
-    if not wins:
-        return
+def _first_conv_batches(model, levels, batch_size):
+    """(start, output) per batch of at most batch_size windows, in
+    final_windows' order: start indexes the batch's first window in its
+    list, and output is the trunk's first conv over the batch, (O, n, ws,
+    ws) as forward_dense computes it on the cropped and normalized pixels,
+    bit for bit.  The conv runs once over each rectangle that a level's kept
+    axes are cut into, of at most CONV_BLOCK_PIXELS pixels (or one block):
+    whole rows of windows while a row of blocks fits, else runs of one
+    row's columns, so a rectangle's windows are consecutive."""
     ws = model.spec.input_size
     lp = model.params.layers[model.spec.shared_trunk[0].name]
-    corners = np.array([block_corner(w, levels, ws) for w in wins])
-    starts, run_level, top_left, bottom_right = _conv_blocks(
-        wins, corners, levels, ws)
-    stops = np.append(starts[1:], len(wins))
-    for start, stop, level, (x0, y0), (x1, y1) in zip(
-            starts, stops, run_level, top_left, bottom_right):
-        band = levels[level].image[y0:y1, x0:x1]
-        read = None             # the last rectangle's conv, freed first
-        read = conv_windows(normalize_image(band), lp.kernels, lp.bias,
-                            corners[start:stop] - (x0, y0), ws)
-        for lo in range(start, stop, batch_size):
-            yield lo, read(lo - start, min(lo + batch_size, stop) - start)
+
+    def runs(axis, offset, span):
+        # the axis on the band, cut into runs whose blocks fit in span px
+        a = np.asarray(axis) - offset
+        return np.split(a, np.flatnonzero(np.diff(a // (span - ws + 1))) + 1)
+
+    start = 0
+    for level in (lv for lv in levels if lv.xs and lv.ys):
+        rows = max(ws, CONV_BLOCK_PIXELS // level.image.shape[1])
+        cols = max(ws, CONV_BLOCK_PIXELS // rows)
+        ox, oy = level.origin
+        for yr, xr in itertools.product(runs(level.ys, oy, rows),
+                                        runs(level.xs, ox, cols)):
+            band = level.image[yr[0]:yr[-1] + ws, xr[0]:xr[-1] + ws]
+            corners = np.stack(np.meshgrid(xr - xr[0], yr - yr[0]),
+                               axis=-1).reshape(-1, 2)
+            read = None             # the last rectangle's conv, freed first
+            read = conv_windows(normalize_image(band), lp.kernels, lp.bias,
+                                corners, ws)
+            stop = start + len(corners)
+            for lo in range(start, stop, batch_size):
+                yield lo, read(lo - start, min(lo + batch_size, stop) - start)
+            start = stop
 
 
 def detect_image(model, image, cam=None, ranges=None, *,
@@ -369,13 +360,13 @@ def detect_image(model, image, cam=None, ranges=None, *,
     """Full single-image pass: windows -> dense-route inference -> refine.
 
     The dense route is faster in numpy than forward_fast, so counter gets
-    k*k multiplies per step.  Its first trunk conv runs once per band
-    rectangle (_first_conv_batches), and batches of at most batch_size of
-    its windows run the rest of it (forward_dense_from): the detections
-    are bit for bit those of forward_dense on the cropped windows, at any
-    batch size.  Background label 0, scores below score_thresh and
-    degenerate boxes are dropped before refinement; final_windows gives
-    the windows a pass runs.  Before any window is built: ConfigError on a
+    k*k multiplies per step.  Its first trunk conv runs once per rectangle
+    cut from final_windows' levels (_first_conv_batches), and batches of
+    at most batch_size of its windows run the rest of it
+    (forward_dense_from): the detections are bit for bit those of
+    forward_dense on the cropped windows, at any batch size.  Background
+    label 0, scores below score_thresh and degenerate boxes are dropped
+    before refinement.  Before any window is built: ConfigError on a
     setting outside its range (batch_size an integer >= 1), and DataError
     when the model does not take the 3-channel windows of an RGB image.
     """
@@ -394,7 +385,7 @@ def detect_image(model, image, cam=None, ranges=None, *,
                                  ws=model.spec.input_size,
                                  stride_frac=stride_frac, ratio=ratio)
     raw = []
-    for lo, first in _first_conv_batches(model, wins, levels, batch_size):
+    for lo, first in _first_conv_batches(model, levels, batch_size):
         batch = wins[lo:lo + first.shape[1]]
         loc, probs = forward_dense_from(model, first, counter=counter)
         labels = probs.argmax(axis=1)

@@ -75,6 +75,10 @@ class TrainConfig:
         if self.decay_every < 1:
             raise ConfigError(f"lr decay interval must be >= 1 epoch, "
                               f"got {self.decay_every}")
+        if not (len(self.loss_weights) == 2 and sum(self.loss_weights) > 0
+                and all(0 <= w < np.inf for w in self.loss_weights)):
+            raise ConfigError(f"loss weights must be two finite values >= 0 "
+                              f"with a positive sum, got {self.loss_weights}")
         if self.phase_a_epochs is None:
             self.phase_a_epochs = (self.epochs + 1) // 2
         if not 0 <= self.phase_a_epochs <= self.epochs:

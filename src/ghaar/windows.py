@@ -10,9 +10,9 @@ world box are discarded.  The final candidate set is the intersection.
 final_windows takes the intersection on the grid axes before any
 resampling: on one level d2D is fixed, so the implied x3D depends on x2D
 alone and y3D on y2D alone, and the kept set is the product of one mask
-per axis.  Only the band of each level that holds kept windows is
-resampled.  build_pyramid, sliding_windows and perspective_filter, the
-same sieves one after the other on whole levels, are its reference.
+per axis; each level carries its kept axes.  Only the band of each level
+that holds kept windows is resampled.  build_pyramid, sliding_windows and
+perspective_filter, the same sieves on whole levels, are its reference.
 """
 
 from dataclasses import dataclass
@@ -41,9 +41,12 @@ class Window:
 
 @dataclass(frozen=True)
 class PyramidLevel:
+    """A pyramid level, or the band of it that final_windows resamples."""
     scale: float             # source size / level size
     image: np.ndarray        # resampled (H, W, C) pixels of the band
     origin: tuple = (0, 0)   # (x, y) of the band's top-left on the level
+    xs: tuple = ()           # final_windows' kept corner columns and rows
+    ys: tuple = ()           # on the level, ascending; none on build_pyramid's
 
 
 @dataclass(frozen=True)
@@ -196,9 +199,9 @@ def final_windows(image, cam=None, ranges=None, ws=DEFAULT_WS,
     scan order.  Without a camera or ranges the sliding set passes through
     untouched.  The windows equal perspective_filter over sliding_windows
     of build_pyramid, but each level only resamples the band its kept
-    windows cover (an empty band when it keeps none), so a window's block
-    is found through its level's origin: block_corner gives it, and
-    crop_window reads its pixels.
+    windows cover (an empty band when it keeps none).  A level's windows
+    are its kept axes' product, xs x ys, y-major, and crop_window reads one
+    through the band's origin: (xs[0], ys[0]), or (0, 0) if it keeps none.
     """
     img = np.asarray(image)
     sizes = _level_sizes(img.shape, ws, ratio)
@@ -214,15 +217,14 @@ def final_windows(image, cam=None, ranges=None, ws=DEFAULT_WS,
                                       ranges.d3d)
             xs = xs[(ranges.x3d_min <= x3d) & (x3d <= ranges.x3d_max)]
             ys = ys[(ranges.y3d_min <= y3d) & (y3d <= ranges.y3d_max)]
-        xs, ys = xs.tolist(), ys.tolist()
+        xs, ys = tuple(xs.tolist()), tuple(ys.tolist())
         if xs and ys:
             cols, rows = (xs[0], xs[-1] + ws), (ys[0], ys[-1] + ws)
         else:
             cols = rows = (0, 0)
-        level = PyramidLevel(
+        levels.append(PyramidLevel(
             scale=scale, image=_level_band(img, scale, lh, lw, rows, cols),
-            origin=(cols[0], rows[0]))
-        levels.append(level)
+            origin=(cols[0], rows[0]), xs=xs, ys=ys))
         wins.extend(corner_window(scale, k, x, y, ws) for y in ys for x in xs)
     return wins, levels
 
@@ -234,10 +236,10 @@ def corner_window(scale, level_id: int, x, y, ws=DEFAULT_WS):
                   d2d=ws * scale, level=level_id)
 
 
-def block_corner(win: Window, levels, ws=DEFAULT_WS):
-    """(x, y) of the top-left pixel of the window's ws x ws block in the
-    band its pyramid level holds; DataError if the block leaves that
-    band."""
+def crop_window(win: Window, levels, ws=DEFAULT_WS):
+    """The window's ws x ws pixel block from its own pyramid level, or
+    from the band of it the level holds, found through the band's origin
+    (corner_window's inverse); DataError if the block leaves that band."""
     level = levels[win.level]
     ox, oy = level.origin
     x = int(round(win.x2d / level.scale - ws / 2)) - ox
@@ -245,15 +247,7 @@ def block_corner(win: Window, levels, ws=DEFAULT_WS):
     h, w = level.image.shape[:2]
     if not (0 <= x <= w - ws and 0 <= y <= h - ws):
         raise DataError(f"window at ({win.x2d}, {win.y2d}) leaves its level")
-    return x, y
-
-
-def crop_window(win: Window, levels, ws=DEFAULT_WS):
-    """The window's ws x ws pixel block from its own pyramid level, or
-    from the band of it the level holds; DataError if the block leaves
-    that band."""
-    x, y = block_corner(win, levels, ws)
-    return levels[win.level].image[y:y + ws, x:x + ws]
+    return level.image[y:y + ws, x:x + ws]
 
 
 @dataclass(frozen=True)

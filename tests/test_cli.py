@@ -244,6 +244,20 @@ def test_box_label_below_one_is_data_error_naming_its_line(
                 in capsys.readouterr().err)
 
 
+def test_eval_refuses_a_label_the_model_cannot_output(
+        workspace, tmp_path, capsys, detect_calls):
+    # scored, it would count a miss no detection can match
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    sidecar = data / "train_00001.txt"
+    sidecar.write_text(sidecar.read_text() + "3 5.0 30.0 42.0 40.0\n")
+    assert cli.main(["eval", "-c", str(workspace["cfg"]), "-m",
+                     str(workspace["model"]), "--data", str(data)]) == 3
+    assert (f"data error: {data / 'train_00001.ppm'}: object label 3 "
+            "outside the model's 3 classes" in capsys.readouterr().err)
+    assert detect_calls == []
+
+
 def test_eval_reports(workspace, capsys):
     assert cli.main(["eval", "--config", str(workspace["cfg"]),
                      "--model", str(workspace["model"]),
@@ -518,6 +532,18 @@ def test_misspelt_key_is_refused_before_any_image(workspace, tmp_path, capsys,
     assert cli.main(["train", "-c", str(cfg), "--data",
                      str(workspace["data"]), "-o", str(tmp_path / "run")]) == 2
     assert "unknown config key 'epoch'" in capsys.readouterr().err
+    assert reads == [] and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("lines", ["loss_w_cla = -1",
+                                   "loss_w_loc = 0\nloss_w_cla = 0"])
+def test_loss_weights_that_invert_training_are_refused_before_any_image(
+        workspace, tmp_path, capsys, reads, lines):
+    cfg = tmp_path / "weights.cfg"
+    cfg.write_text(SMALL_CONFIG + lines + "\n")
+    assert cli.main(["train", "-c", str(cfg), "--data",
+                     str(workspace["data"]), "-o", str(tmp_path / "run")]) == 2
+    assert "config error: loss weights" in capsys.readouterr().err
     assert reads == [] and not (tmp_path / "run").exists()
 
 

@@ -15,8 +15,8 @@ from ghaar import nn_core as nn
 from ghaar import pipeline as pl
 from ghaar import training as tr
 from ghaar.ppm import normalize_image
-from ghaar.windows import (CameraModel, SceneRanges, Window, block_corner,
-                           crop_window, final_windows)
+from ghaar.windows import (CameraModel, SceneRanges, Window, crop_window,
+                           final_windows)
 
 
 def win(cx=24.0, cy=24.0, d=48.0, level=0):
@@ -545,27 +545,42 @@ BAND_CAM = CameraModel(m11=96.0, m22=96.0, m13=48.0, m23=36.0)
 BAND_RANGES = SceneRanges(-1.0, 2.0, -0.8, 1.5, 1.0)
 
 
+def conv_rectangles(model, levels, batch_size):
+    """(first window, windows, corner columns) of each rectangle of a band
+    that the first conv runs over in detect_image, in order."""
+    rects = []
+
+    def recording(x, kernels, bias, corners, size):
+        first = sum(n for _, n, _ in rects)
+        rects.append((first, len(corners), len(np.unique(corners[:, 0]))))
+        return nn.conv_windows(x, kernels, bias, corners, size)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(pl, "conv_windows", recording)
+        for _ in pl._first_conv_batches(model, levels, batch_size):
+            pass
+    return rects
+
+
 def band_geometry_holds(case, model, wins, levels, batch_size):
     """True when the windows detect_image runs have the geometry the case
     is named for."""
-    ws = model.spec.input_size
-    corners = np.array([block_corner(w, levels, ws) for w in wins])
+    kept = [level for level in levels if level.xs and level.ys]
     if case == "flush-odd":
         # a flush last row or column of the grid, off the 5-px step and odd
-        return bool(((corners % 5 != 0) & (corners % 2 == 1)).any())
+        return any(v % 5 and v % 2
+                   for level in kept for v in level.xs + level.ys)
     if case == "pruned-origin":
         return any(level.origin != (0, 0) for level in levels)
-    starts, run_level, top_left, bottom_right = pl._conv_blocks(
-        wins, corners, levels, ws)
+    rects = conv_rectangles(model, levels, batch_size)
     if case == "split-rectangle":
         # a rectangle whose windows fill more than one batch, the last part
-        sizes = np.diff(np.append(starts, len(wins)))
-        return bool(((sizes > batch_size) & (sizes % batch_size > 0)).any())
+        return any(n > batch_size and n % batch_size for _, n, _ in rects)
     if case == "small-blocks":
         # more rectangles than levels, and some only part of a row of windows
-        widths = np.array([levels[k].image.shape[1] for k in run_level])
-        return (len(starts) > len({w.level for w in wins})
-                and bool((bottom_right[:, 0] - top_left[:, 0] < widths).any()))
+        return len(rects) > len(kept) and any(
+            cols < len(levels[wins[first].level].xs)
+            for first, _, cols in rects)
     return model.spec.shared_trunk[0].kernel_size == 1
 
 

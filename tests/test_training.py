@@ -58,6 +58,16 @@ def test_decay_interval_is_checked_when_built(every):
         small_cfg(decay_every=every)
 
 
+@pytest.mark.parametrize("weights", [
+    (1.0, -1.0), (-0.5, 1.0), (0.0, 0.0), (np.nan, 1.0), (1.0, np.inf),
+    (1.0,), (1.0, 1.0, 1.0)])
+def test_loss_weights_are_checked_when_built(weights):
+    # a negative weight trains to maximise its loss, and all zero to nothing
+    with pytest.raises(ConfigError, match="loss weights"):
+        small_cfg(loss_weights=weights)
+    assert small_cfg(loss_weights=(0.0, 2.5)).loss_weights == (0.0, 2.5)
+
+
 @pytest.mark.parametrize("key, value", [
     ("phi", np.nan), ("phi", np.inf), ("phi", -0.1), ("q", np.nan),
     ("q", np.inf), ("q", 0), ("lr", np.nan), ("lr", np.inf), ("lr", 0.0)])

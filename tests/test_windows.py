@@ -213,7 +213,6 @@ def test_crop_window_reads_level_pixels():
     band = [wd.PyramidLevel(scale=1.0, image=img[30:90, 20:80],
                             origin=(20, 30))]
     inside = wd.corner_window(band[0].scale, 0, 25, 40, ws=48)
-    assert wd.block_corner(inside, band, ws=48) == (5, 10)
     assert np.array_equal(wd.crop_window(inside, band, ws=48),
                           img[40:88, 25:73])
     for x, y in ((0, 40), (19, 40), (25, 29), (33, 40), (25, 43)):
@@ -238,14 +237,21 @@ def reference_windows(image, cam, ranges, ws, stride_frac, ratio):
 def check_against_reference(image, cam, ranges, ws=32, stride_frac=0.3,
                             ratio=1.4):
     """final_windows yields the reference windows in the reference order,
-    with the same field types, and bit-equal crops; returns (windows, number
-    of levels whose band is empty)."""
+    with the same field types, and bit-equal crops; each level's kept axes
+    give its windows, y-major, and its band's origin; returns (windows,
+    number of levels whose band is empty)."""
     wins, levels = wd.final_windows(image, cam, ranges, ws, stride_frac,
                                     ratio)
     ref, ref_levels = reference_windows(image, cam, ranges, ws, stride_frac,
                                         ratio)
     assert len(levels) == len(ref_levels)
     assert wins == ref
+    assert wins == [wd.corner_window(level.scale, k, x, y, ws)
+                    for k, level in enumerate(levels)
+                    for y in level.ys for x in level.xs]
+    for level in levels:
+        assert level.origin == ((level.xs[0], level.ys[0])
+                                if level.xs and level.ys else (0, 0))
     assert ([tuple(map(type, (w.x2d, w.y2d, w.d2d, w.level))) for w in wins]
             == [tuple(map(type, (w.x2d, w.y2d, w.d2d, w.level))) for w in ref])
     for win in wins:
